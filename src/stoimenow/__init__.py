@@ -36,6 +36,7 @@ from .enumeration import (
     MAX_ARCS,
     completions,
     count_avoiders,
+    count_completions,
     count_stoimenow,
     count_table,
     enumerate_stoimenow,

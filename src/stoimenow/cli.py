@@ -36,6 +36,10 @@ from .series import Polynomial, RationalGF, gf_coefficients
 from .verify import SUITES, run_suite, verify_table
 
 MAX_ORDER = 64
+# Commands that visit every matching (gen, table, count --avoid) refuse
+# larger n: gen --n 11 already lists F(11) = 1,420,053 matchings, and F(12)
+# is 7.6 times as many.  Pattern-free counts are not walked and go to MAX_ARCS.
+MAX_WALK_ARCS = 11
 
 
 def _display(m) -> str:
@@ -57,7 +61,13 @@ def _check_bounds(args) -> None:
         raise ValueError("--workers must be at least 1")
 
 
+def _check_walk(flag: str, n: int, command: str) -> None:
+    if n > MAX_WALK_ARCS:
+        raise ValueError(f"{flag} must be at most {MAX_WALK_ARCS} for {command}, which visits every matching")
+
+
 def cmd_gen(args) -> int:
+    _check_walk("--n", args.n, "gen")
     avoid = parse_pattern_set(args.avoid) if args.avoid else None
     out = sys.stdout
 
@@ -86,6 +96,9 @@ def cmd_count(args) -> int:
     patterns = parse_pattern_set(args.avoid) if args.avoid else parse_pattern_set("")
     if args.n is None and args.n_max is None:
         raise ValueError("count needs --n or --n-max")
+    if patterns.members:
+        flag, n = ("--n", args.n) if args.n is not None else ("--n-max", args.n_max)
+        _check_walk(flag, n, "count --avoid")
     if args.n is not None:
         print(count_avoiders(args.n, patterns))
         return 0
@@ -98,6 +111,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_table(args) -> int:
+    _check_walk("--n-max", args.n_max, "table")
     row_names = None
     if args.rows:
         row_names = [r for chunk in args.rows for r in chunk.split(";") if r]

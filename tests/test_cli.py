@@ -41,6 +41,35 @@ def test_count(capsys):
     assert out == 'patterns,n,count\nP3,1,1\nP3,2,2\nP3,3,5\nP3,4,14\n'
 
 
+def test_pattern_free_count_reaches_the_size_cap(capsys):
+    code, out, _ = run(capsys, "count", "--n", "14")
+    assert code == 0
+    assert out == "796713190\n"
+    code, out, _ = run(capsys, "count", "--n-max", "14")
+    assert code == 0
+    assert out.splitlines()[-1] == ",14,796713190"
+
+
+def test_pattern_free_count_workers_byte_identical(capsys):
+    _, one, _ = run(capsys, "count", "--n-max", "9", "--workers", "1")
+    _, two, _ = run(capsys, "count", "--n-max", "9", "--workers", "2")
+    assert one == two
+    assert one.splitlines()[-1] == ",9,31240"
+
+
+def test_walking_commands_refuse_sizes_past_their_limit(capsys):
+    for argv in (
+        ["gen", "--n", "12"],
+        ["count", "--n", "12", "--avoid", "P1"],
+        ["count", "--n-max", "12", "--avoid", "P1"],
+        ["table", "--n-max", "12"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "at most 11" in err
+
+
 def test_series_by_name(capsys):
     code, out, _ = run(capsys, "series", "--name", "P3,P4,P5", "--order", "8")
     assert code == 0

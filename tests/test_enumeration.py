@@ -4,6 +4,7 @@ from stoimenow import (
     EMPTY,
     completions,
     count_avoiders,
+    count_completions,
     count_stoimenow,
     count_table,
     enumerate_stoimenow,
@@ -13,6 +14,8 @@ from stoimenow import (
     parse_pattern_set,
     partition_prefixes,
 )
+
+from util import recursive_completions
 
 # A022493 prefix, used as frozen cross-check data next to the two
 # independent computations (pruned generation and ascent sequences).
@@ -32,6 +35,35 @@ def test_enumeration_is_deterministic():
 def test_counts_match_ascent_sequence_oracle():
     for n in range(8):
         assert count_stoimenow(n) == fishburn_oracle(n) == FISHBURN[n]
+
+
+def test_generator_counter_and_oracle_agree():
+    for n in range(10):
+        assert sum(1 for _ in enumerate_stoimenow(n)) == count_stoimenow(n) == fishburn_oracle(n)
+
+
+def test_counter_matches_oracle_to_the_size_cap():
+    assert [count_stoimenow(n) for n in range(15)] == [fishburn_oracle(n) for n in range(15)]
+    assert count_stoimenow(14) == 796713190
+
+
+def test_counter_matches_generator_from_every_prefix():
+    for n in range(8):
+        for depth in range(2 * n + 1):
+            for s in partition_prefixes(n, depth):
+                assert count_completions(s) == len(list(completions(s))), (n, depth, s)
+
+
+def _pairs(matchings):
+    return [tuple((a.opener, a.closer) for a in m.arcs) for m in matchings]
+
+
+def test_emission_order_matches_recursive_reference():
+    prefixes = [s for n in range(8) for s in partition_prefixes(n, 0)]
+    prefixes += partition_prefixes(6, 5) + partition_prefixes(7, 9)
+    for s in prefixes:
+        want = list(recursive_completions(s.n, s.pos, s.open_openers, s.pairs, s.last_closed_opener))
+        assert _pairs(completions(s)) == want, s
 
 
 def test_emitted_matchings_are_stoimenow_and_distinct():

@@ -47,3 +47,22 @@ def naive_contains(m: Matching, p: Pattern) -> bool:
         standardize(subset).template == p.template
         for subset in combinations(m.arcs, k)
     )
+
+
+def recursive_completions(n, pos, open_openers, pairs, last_closed_opener=0):
+    """Frozen recursive reference of the generator's canonical order.
+
+    Takes the fields of a generation prefix and yields the arc pairs of
+    each completion, sorted by opener.  At each site the closers come in
+    increasing order of their opener, then the opener branch.
+    """
+    if pos > 2 * n:
+        yield tuple(sorted(pairs))
+        return
+    for idx, o in enumerate(open_openers):
+        if o < last_closed_opener or (idx and open_openers[idx - 1] == o - 1):
+            continue
+        rest = open_openers[:idx] + open_openers[idx + 1 :]
+        yield from recursive_completions(n, pos + 1, rest, pairs + ((o, pos),), o)
+    if len(pairs) + len(open_openers) < n and len(open_openers) + 1 <= 2 * n - pos:
+        yield from recursive_completions(n, pos + 1, open_openers + (pos,), pairs)
