@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Commands: gen, count, table, series, check, biject, oeis.  Exit codes:
+Commands: gen, count, table, series, check, biject.  Exit codes:
 0 all passed, 1 verification or precondition failure, 2 usage error.
 """
 
@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .bijections import (
     EmptyMatching,
@@ -20,14 +19,7 @@ from .bijections import (
     split,
     string_to_matching,
 )
-from .enumeration import (
-    MAX_ARCS,
-    count_avoiders,
-    count_table,
-    enumerate_stoimenow,
-    completions,
-    partition_prefixes,
-)
+from .enumeration import MAX_ARCS, count_avoiders, count_table, enumerate_stoimenow
 from .identities import gf_registry
 from .matching import format_arcs, parse_arcs
 from .patterns import avoids_all, parse_pattern_set
@@ -40,6 +32,9 @@ MAX_ORDER = 64
 # larger n: gen --n 11 already lists F(11) = 1,420,053 matchings, and F(12)
 # is 7.6 times as many.  Pattern-free counts are not walked and go to MAX_ARCS.
 MAX_WALK_ARCS = 11
+# Every command runs on one thread; --workers is still accepted so that
+# scripts passing it keep working.
+WORKERS_HELP = "accepted for compatibility (at least 1); output and speed do not depend on it"
 
 
 def _display(m) -> str:
@@ -76,19 +71,9 @@ def cmd_gen(args) -> int:
             return json.dumps([[a.opener, a.closer] for a in m.arcs])
         return format_arcs(m)
 
-    def emit(m) -> None:
+    for m in enumerate_stoimenow(args.n):
         if avoid is None or avoids_all(m, avoid):
             out.write(render(m) + "\n")
-
-    if args.workers == 1:
-        for m in enumerate_stoimenow(args.n):
-            emit(m)
-    else:
-        parts = partition_prefixes(args.n, min(4, 2 * args.n))
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            for chunk in pool.map(lambda s: list(completions(s)), parts):
-                for m in chunk:
-                    emit(m)
     return 0
 
 
@@ -102,7 +87,7 @@ def cmd_count(args) -> int:
     if args.n is not None:
         print(count_avoiders(args.n, patterns))
         return 0
-    table = count_table([patterns], args.n_max, workers=args.workers)
+    table = count_table([patterns], args.n_max)
     if args.format == "json":
         print(table.to_json())
     else:
@@ -115,7 +100,7 @@ def cmd_table(args) -> int:
     row_names = None
     if args.rows:
         row_names = [r for chunk in args.rows for r in chunk.split(";") if r]
-    report = verify_table(args.n_max, row_names, workers=args.workers)
+    report = verify_table(args.n_max, row_names)
     if args.format == "json":
         print(report.to_json())
     elif args.format == "csv":
@@ -136,26 +121,16 @@ def _series_source(args) -> RationalGF:
     return RationalGF(Polynomial.parse(args.num), Polynomial.parse(args.den))
 
 
-def _emit_coefficients(values: list[int], fmt: str, with_zero: bool) -> None:
-    if fmt == "bfile":
-        start = 0 if with_zero else 1
+def cmd_series(args) -> int:
+    values = gf_coefficients(_series_source(args), args.order)
+    if args.format == "bfile":
+        start = 0 if args.with_zero else 1
         for n in range(start, len(values)):
             sys.stdout.write(f"{n} {values[n]}\n")
     else:
         sys.stdout.write("n,coefficient\n")
         for n, v in enumerate(values):
             sys.stdout.write(f"{n},{v}\n")
-
-
-def cmd_series(args) -> int:
-    gf = _series_source(args)
-    _emit_coefficients(gf_coefficients(gf, args.order), args.format, args.with_zero)
-    return 0
-
-
-def cmd_oeis(args) -> int:
-    gf = _series_source(args)
-    _emit_coefficients(gf_coefficients(gf, args.order), "bfile", args.with_zero)
     return 0
 
 
@@ -204,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--avoid", default=None, help="pattern set, e.g. P1,P3")
     p.add_argument("--format", choices=["arcs", "json"], default="arcs")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("count", help="count avoiders for a pattern set")
@@ -212,14 +187,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--avoid", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("table", help="brute force vs closed forms, all registry rows")
     p.add_argument("--n-max", type=int, default=7)
     p.add_argument("--rows", action="append", default=None, help="restrict to rows (repeat or ';'-join)")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("series", help="expand a closed form to coefficients")
@@ -243,14 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", default=None, help="first glue operand (arc-list)")
     p.add_argument("--right", default=None, help="second glue operand (arc-list)")
     p.set_defaults(func=cmd_biject)
-
-    p = sub.add_parser("oeis", help="emit b-file lines for a registry row")
-    p.add_argument("--name", default=None)
-    p.add_argument("--num", default=None)
-    p.add_argument("--den", default=None)
-    p.add_argument("--order", type=int, default=12)
-    p.add_argument("--with-zero", action="store_true")
-    p.set_defaults(func=cmd_oeis)
 
     return parser
 

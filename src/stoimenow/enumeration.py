@@ -33,13 +33,13 @@ import csv
 import io
 import json
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .matching import Arc, Matching
-from .patterns import Pattern, PatternSet, avoids_all, contains
+from .patterns import Pattern, PatternSet, contains
 
 MAX_ARCS = 14
 
@@ -198,7 +198,7 @@ def count_avoiders(n: int, s: PatternSet) -> int:
     _check_size(n)
     if not s.members:
         return count_stoimenow(n)
-    return sum(1 for m in enumerate_stoimenow(n) if avoids_all(m, s))
+    return _tally(n, sorted(s.members, key=str), [(1 << len(s.members)) - 1])[0]
 
 
 @dataclass(frozen=True)
@@ -227,31 +227,39 @@ class CountTable:
         return json.dumps(self.to_json_obj(), indent=2)
 
 
-def _tally(states: Iterable[GenState], distinct: Sequence[Pattern], row_masks: Sequence[int]) -> list[int]:
-    totals = [0] * len(row_masks)
-    for state in states:
-        for m in completions(state):
-            hit = 0
-            for bit, p in enumerate(distinct):
-                if contains(m, p):
-                    hit |= 1 << bit
-            for r, mask in enumerate(row_masks):
-                if hit & mask == 0:
-                    totals[r] += 1
-    return totals
+def _tally(n: int, distinct: Sequence[Pattern], row_masks: Sequence[int]) -> list[int]:
+    """Avoider counts in M_n for each row; row r forbids the patterns of
+    `distinct` whose bits are set in row_masks[r].
+
+    Each leaf keeps an `alive` bitmask of the rows it still avoids.  A
+    pattern is tested only while some alive row forbids it, so a leaf's
+    tests stop once no row is alive.
+    """
+    rows_of = [
+        sum(1 << r for r, mask in enumerate(row_masks) if mask >> bit & 1) for bit in range(len(distinct))
+    ]
+    everyone = (1 << len(row_masks)) - 1
+    survivors: Counter[int] = Counter()
+    for m in completions(_root(n)):
+        alive = everyone
+        for p, rows in zip(distinct, rows_of):
+            if alive & rows and contains(m, p):
+                alive &= ~rows
+                if not alive:
+                    break
+        survivors[alive] += 1
+    return [sum(k for alive, k in survivors.items() if alive >> r & 1) for r in range(len(row_masks))]
 
 
-def count_table(rows: Sequence[PatternSet], n_max: int, workers: int = 1) -> CountTable:
+def count_table(rows: Sequence[PatternSet], n_max: int) -> CountTable:
     """Avoidance counts for every row and every n in 1..n_max.
 
     Rows with no patterns come from the compressed counter.  The others
-    share one enumeration pass per n: every matching is tested against
-    each distinct pattern once and the verdicts are reused across rows."""
+    share one enumeration pass per n, in which each leaf is tested
+    against each distinct pattern at most once."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     _check_size(n_max)
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     row_list = list(rows)
     distinct: list[Pattern] = []
     seen: dict[Pattern, int] = {}
@@ -269,14 +277,7 @@ def count_table(rows: Sequence[PatternSet], n_max: int, workers: int = 1) -> Cou
     masks = [row_masks[r] for r in walked]
     if walked:
         for n in range(1, n_max + 1):
-            if workers == 1:
-                totals = _tally([_root(n)], distinct, masks)
-            else:
-                parts = partition_prefixes(n, min(4, 2 * n))
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    partials = pool.map(lambda s: _tally([s], distinct, masks), parts)
-                    totals = [sum(col) for col in zip(*partials)] if parts else [0] * len(masks)
-            for r, total in zip(walked, totals):
+            for r, total in zip(walked, _tally(n, distinct, masks)):
                 counts[r][n - 1] = total
     return CountTable(
         tuple((ps, tuple(c)) for ps, c in zip(row_list, counts)),

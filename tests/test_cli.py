@@ -1,7 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import stoimenow.cli as cli
 from stoimenow.cli import main
 
 
@@ -96,12 +99,6 @@ def test_series_bfile(capsys):
         "--with-zero",
     )
     assert out == "0 1\n1 1\n2 2\n3 5\n4 13\n"
-
-
-def test_oeis_command(capsys):
-    code, out, _ = run(capsys, "oeis", "--name", "P2,P4", "--order", "5")
-    assert code == 0
-    assert out == "1 1\n2 2\n3 5\n4 13\n5 34\n"
 
 
 def test_series_usage_errors(capsys):
@@ -211,6 +208,27 @@ def test_bounds_rejected(capsys):
     assert code == 2
     code, _, err = run(capsys, "series", "--name", "R3", "--order", "65")
     assert code == 2
+
+
+def test_workers_must_be_positive_and_oeis_is_gone(capsys):
+    for argv in (["gen", "--n", "3"], ["count", "--n", "3"], ["table", "--n-max", "3"]):
+        code, out, err = run(capsys, *argv, "--workers", "0")
+        assert code == 2, argv
+        assert out == ""
+        assert "--workers must be at least 1" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["oeis", "--name", "P2,P4"])
+    assert exc.value.code == 2
+
+
+def test_docs_list_every_subcommand():
+    (sub,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    commands = set(sub.choices)
+    listed = re.search(r"Commands: ([^.]*)\.", cli.__doc__).group(1)
+    assert set(listed.split(", ")) == commands
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for command in commands:
+        assert f"stoimenow {command} " in readme, command
 
 
 def test_unknown_flag_exits_2():

@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import pytest
 
 from stoimenow import (
     EMPTY,
+    PatternSet,
     completions,
     count_avoiders,
     count_completions,
@@ -13,9 +16,10 @@ from stoimenow import (
     make_matching,
     parse_pattern_set,
     partition_prefixes,
+    registry,
 )
 
-from util import recursive_completions
+from util import naive_contains, recursive_completions
 
 # A022493 prefix, used as frozen cross-check data next to the two
 # independent computations (pruned generation and ascent sequences).
@@ -135,13 +139,27 @@ def test_count_table_csv_and_json():
     ]
 
 
-def test_count_table_workers_agree():
-    rows = [parse_pattern_set("P1,P4"), parse_pattern_set("R3")]
-    assert count_table(rows, 6, workers=1) == count_table(rows, 6, workers=3)
-
-
 def test_count_table_bounds():
     with pytest.raises(ValueError):
         count_table([parse_pattern_set("P1")], 0)
-    with pytest.raises(ValueError):
-        count_table([parse_pattern_set("P1")], 6, workers=0)
+
+
+def test_avoider_counts_match_naive_filtering():
+    atlas = sorted(registry().values(), key=str)
+    sets = [PatternSet.of(*c) for k in (1, 2, 3) for c in combinations(atlas, k)]
+    table = count_table(sets, 6)
+    for n in range(1, 7):
+        # one naive verdict per (leaf, atlas pattern), shared by every set
+        hits = [{p for p in atlas if naive_contains(m, p)} for m in enumerate_stoimenow(n)]
+        for ps, (row, counts) in zip(sets, table.rows):
+            expected = sum(1 for h in hits if not h & ps.members)
+            assert row == ps
+            assert count_avoiders(n, ps) == counts[n - 1] == expected, (ps.name, n)
+
+
+def test_count_table_rows_sharing_patterns_match_count_avoiders():
+    singles = [registry()[f"P{i}"] for i in range(1, 6)]
+    power_set = [PatternSet.of(*c) for k in range(6) for c in combinations(singles, k)]
+    table = count_table(power_set, 6)
+    for ps, (_, counts) in zip(power_set, table.rows):
+        assert counts == tuple(count_avoiders(n, ps) for n in range(1, 7)), ps.name
