@@ -32,6 +32,11 @@ MAX_ORDER = 64
 # larger n: gen --n 11 already lists F(11) = 1,420,053 matchings, and F(12)
 # is 7.6 times as many.  Pattern-free counts are not walked and go to MAX_ARCS.
 MAX_WALK_ARCS = 11
+# check suites that walk every matching up to --n-max refuse larger values:
+# omega at --n-max 8 takes about 5 s on a 2-core host, and each further arc
+# multiplies the walk by about 7.
+MAX_CHECK_WALK_ARCS = 8
+WALKING_SUITES = ("omega", "bijections", "all")
 # Every command runs on one thread; --workers is still accepted so that
 # scripts passing it keep working.
 WORKERS_HELP = "accepted for compatibility (at least 1); output and speed do not depend on it"
@@ -135,6 +140,11 @@ def cmd_series(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.suite in WALKING_SUITES and args.n_max > MAX_CHECK_WALK_ARCS:
+        raise ValueError(
+            f"--n-max must be at most {MAX_CHECK_WALK_ARCS} for check --suite {args.suite}, "
+            "which walks every matching"
+        )
     outcomes = run_suite(args.suite, order=args.order, n_max=args.n_max)
     for outcome in outcomes:
         print(outcome.line())

@@ -31,7 +31,7 @@ def catalan_series(order: int) -> PowerSeries:
         raise ValueError("order must be nonnegative")
     root = (1 - PowerSeries.monomial(4, 1, order + 1)).sqrt()
     closed = (1 - root).over_x() * Fraction(1, 2)
-    values = [Fraction(1)]
+    values = [1]
     for n in range(order):
         values.append(sum(values[k] * values[n - k] for k in range(n + 1)))
     recurrence = PowerSeries(tuple(values))

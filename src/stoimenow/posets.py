@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, groupby, permutations, product
 
 from .matching import Matching
 
@@ -107,17 +107,34 @@ def cover_relations(p: Poset) -> list[tuple[int, int]]:
 
 
 def canonical_form(p: Poset) -> tuple[tuple[int, int], ...]:
-    """Isomorphism invariant by brute-force relabeling; small posets only."""
+    """Isomorphism invariant: the least sorted relation list over a
+    restricted set of relabelings.
+
+    Elements are sorted by the isomorphism invariant (down-set size,
+    up-set size), largest first, and only labelings that respect this class
+    order are tried: the product of the permutations within each class.
+    The classes and the allowed labelings are defined the same way for
+    every poset, so isomorphic posets get the same form and the form is
+    still a complete invariant.  Isolated elements, class (0, 0), take the
+    largest labels and never appear in the list, so, as with the least list
+    over all n! relabelings, adding them does not change the form.
+    """
+    n = p.size
+    pairs = [(i, j) for i in range(n) for j in range(n) if p.less[i][j]]
+    down = [0] * n
+    up = [0] * n
+    for i, j in pairs:
+        up[i] += 1
+        down[j] += 1
+    invariant = list(zip(down, up))
+    order = sorted(range(n), key=invariant.__getitem__, reverse=True)
+    classes = [tuple(block) for _, block in groupby(order, key=invariant.__getitem__)]
     best = None
-    for perm in permutations(range(p.size)):
-        rels = tuple(
-            sorted(
-                (perm[i], perm[j])
-                for i in range(p.size)
-                for j in range(p.size)
-                if p.less[i][j]
-            )
-        )
+    label = [0] * n
+    for arrangement in product(*(permutations(c) for c in classes)):
+        for position, e in enumerate(chain.from_iterable(arrangement)):
+            label[e] = position
+        rels = tuple(sorted((label[i], label[j]) for i, j in pairs))
         if best is None or rels < best:
             best = rels
     return best

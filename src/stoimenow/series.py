@@ -9,7 +9,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from math import lcm
+from operator import mul
 from typing import Iterable, Union
+
+# Largest exponent Polynomial.parse accepts: the CLI orders stop at 64, and
+# a larger cap still keeps parsing bounded (x^10^9 would be a 10^9-entry list).
+MAX_DEGREE = 1000
 
 
 class NonUnitDenominator(ValueError):
@@ -50,7 +57,9 @@ class Polynomial:
         """Parse ``c0,c1,c2,...`` or the human form ``1-4x+5x^2-3x^3``.
 
         In the human form every term after the first must carry an explicit
-        sign; a bare ``x`` power has implicit coefficient 1.
+        sign; a bare ``x`` power has implicit coefficient 1.  Degrees above
+        ``MAX_DEGREE`` raise ``ValueError``; in the human form each exponent
+        is checked before the coefficient list is built.
         """
         s = re.sub(r"\s*([+,-])\s*", r"\1", text.strip())
         if not s:
@@ -58,7 +67,10 @@ class Polynomial:
         if re.search(r"\s", s):
             raise ValueError(f"unexpected whitespace in {text!r}")
         if re.fullmatch(r"[+-]?\d+(,[+-]?\d+)*", s):
-            return cls.from_coeffs(int(t) for t in s.split(","))
+            p = cls.from_coeffs(int(t) for t in s.split(","))
+            if p.degree > MAX_DEGREE:
+                raise ValueError(f"degree {p.degree} exceeds {MAX_DEGREE}")
+            return p
         coeffs: dict[int, int] = {}
         pos = 0
         first = True
@@ -75,6 +87,8 @@ class Polynomial:
             else:
                 coef = 1
                 exp = int(exp_b) if exp_b else 1
+            if exp > MAX_DEGREE:
+                raise ValueError(f"exponent {exp} exceeds {MAX_DEGREE}")
             coeffs[exp] = coeffs.get(exp, 0) + sign * coef
             pos = m.end()
             first = False
@@ -184,12 +198,36 @@ def gf_coefficients(f: RationalGF, order: int) -> list[int]:
 Scalar = Union[int, Fraction]
 
 
+def _over_common_denominator(coeffs: tuple[Fraction, ...], n: int) -> tuple[list[int], int]:
+    """Integer numerators of coeffs[0..n] over their least common denominator."""
+    head = coeffs[: n + 1]
+    den = lcm(*(c.denominator for c in head))
+    return [c.numerator * (den // c.denominator) for c in head], den
+
+
+def _convolve(a: list[int], b: list[int], n: int) -> list[int]:
+    """Coefficients 0..n of the product of two integer series."""
+    rb = b[n::-1]  # rb[n - k:] is b_k, ..., b_0
+    return [sum(map(mul, a[: k + 1], rb[n - k :])) for k in range(n + 1)]
+
+
+def _ratios(nums: Iterable[int], dens: Iterable[int]) -> "PowerSeries":
+    """The series with coefficients nums[k] / dens[k], one Fraction each."""
+    return PowerSeries(tuple(map(Fraction, nums, dens)))
+
+
 @dataclass(frozen=True)
 class PowerSeries:
     """Truncated series with exact rational coefficients 0..order.
 
     Binary operations truncate to the smaller operand order.  Integer and
     Fraction scalars mix freely on either side.
+
+    The kernels (``*``, ``/``, ``sqrt``, ``**``) write each operand once as
+    integer numerators over one common denominator, run the convolution or
+    recurrence on Python ints, and build a ``Fraction`` only per result
+    coefficient: O(order) Fraction constructions instead of O(order^2)
+    Fraction operations, and still no floating point.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -197,7 +235,8 @@ class PowerSeries:
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("a series carries at least its constant term")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        if type(self.coeffs) is not tuple or any(type(c) is not Fraction for c in self.coeffs):
+            object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
 
     @property
     def order(self) -> int:
@@ -277,15 +316,9 @@ class PowerSeries:
         if rhs is None:
             return NotImplemented
         n = min(self.order, rhs.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = rhs.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return PowerSeries(tuple(out))
+        a, da = _over_common_denominator(self.coeffs, n)
+        b, db = _over_common_denominator(rhs.coeffs, n)
+        return _ratios(_convolve(a, b, n), repeat(da * db))
 
     __rmul__ = __mul__
 
@@ -296,15 +329,19 @@ class PowerSeries:
         if rhs.coeffs[0] == 0:
             raise DivByNonUnit("divisor has zero constant term")
         n = min(self.order, rhs.order)
-        inv0 = 1 / rhs.coeffs[0]
-        out: list[Fraction] = []
+        a, da = _over_common_denominator(self.coeffs, n)
+        b, db = _over_common_denominator(rhs.coeffs, n)
+        # self / rhs = (db / da) * (a / b).  With q = a / b, the integers
+        # t_k = q_k * b0^(k+1) satisfy t_k = a_k b0^k - sum_j b_j b0^(j-1) t_{k-j}.
+        b0 = b[0]
+        powers = [1]
+        for _ in range(n + 1):
+            powers.append(powers[-1] * b0)
+        scaled_b = [b[j] * powers[j - 1] for j in range(1, n + 1)]
+        t: list[int] = []
         for k in range(n + 1):
-            acc = self.coeffs[k]
-            for j in range(1, k + 1):
-                if j < len(rhs.coeffs) and rhs.coeffs[j]:
-                    acc -= rhs.coeffs[j] * out[k - j]
-            out.append(acc * inv0)
-        return PowerSeries(tuple(out))
+            t.append(a[k] * powers[k] - sum(map(mul, scaled_b[:k], reversed(t))))
+        return _ratios((db * v for v in t), (da * p for p in powers[1:]))
 
     def __rtruediv__(self, other):
         lhs = self._coerce(other)
@@ -313,23 +350,42 @@ class PowerSeries:
         return lhs / self
 
     def __pow__(self, k: int):
+        """Square-and-multiply on the integer numerators."""
         if k < 0:
             raise ValueError("negative power")
-        result = PowerSeries.constant(1, self.order)
-        for _ in range(k):
-            result = result * self
-        return result
+        n = self.order
+        base, d = _over_common_denominator(self.coeffs, n)
+        result, rd = [1] + [0] * n, 1
+        while k:
+            if k & 1:
+                result, rd = _convolve(result, base, n), rd * d
+            k >>= 1
+            if k:
+                base, d = _convolve(base, base, n), d * d
+        return _ratios(result, repeat(rd))
 
     def sqrt(self) -> "PowerSeries":
-        """Square root by Newton iteration; requires constant term 1."""
+        """Square root with constant term 1, coefficient by coefficient.
+
+        From s^2 = a: s_k = (a_k - sum_{0<i<k} s_i s_{k-i}) / 2.  With the
+        coefficients a_k = A_k / d over one denominator, u_k = s_k (4d)^k
+        is the k-th coefficient of sqrt(a(4dx)) = sqrt(1 + 4x G(x)) for an
+        integer series G.  sqrt(1 + 4y) = 1 + 2y - 2y^2 + 4y^3 - ... has
+        integer coefficients, so u_k is an integer and the recurrence runs
+        on ints:
+        u_k = (A_k 4^k d^(k-1) - sum_{0<i<k} u_i u_{k-i}) / 2, exactly.
+        """
         if self.coeffs[0] != 1:
             raise SqrtNonUnit("series square root needs constant term 1")
-        target = self.order
-        y = PowerSeries((Fraction(1),))
-        while y.order < target:
-            m = min(2 * y.order + 1, target)
-            y = (y.with_order(m) + self.with_order(m) / y.with_order(m)) * Fraction(1, 2)
-        return y
+        n = self.order
+        a, d = _over_common_denominator(self.coeffs, n)
+        scale = [1]  # scale[k] = (4d)^k
+        for _ in range(n):
+            scale.append(scale[-1] * 4 * d)
+        u = [1]
+        for k in range(1, n + 1):
+            u.append((a[k] * scale[k] // d - sum(map(mul, u[1:k], u[k - 1 : 0 : -1]))) // 2)
+        return _ratios(u, scale)
 
     def __str__(self) -> str:
         body = ", ".join(str(c) for c in self.coeffs)

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,30 @@ def test_walking_commands_refuse_sizes_past_their_limit(capsys):
         assert code == 2, argv
         assert out == ""
         assert "at most 11" in err
+
+
+@pytest.mark.parametrize("suite", ["omega", "bijections", "all"])
+def test_walking_check_suites_refuse_n_max_past_8(capsys, suite):
+    code, out, err = run(capsys, "check", "--suite", suite, "--n-max", "9")
+    assert code == 2
+    assert out == ""
+    assert f"--n-max must be at most 8 for check --suite {suite}" in err
+
+
+def test_series_check_suites_ignore_n_max(capsys):
+    for suite in ("h-eq", "f-catalan", "case-sums", "fibonacci"):
+        code, out, _ = run(capsys, "check", "--suite", suite, "--n-max", "14", "--order", "8")
+        assert code == 0, suite
+        assert "FAIL" not in out
+
+
+def test_series_refuses_degree_past_the_cap_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "series", "--num", "1", "--den", "1-x^3000000", "--order", "4")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert "exceeds 1000" in err
 
 
 def test_series_by_name(capsys):

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from stoimenow import (
@@ -15,6 +17,7 @@ from stoimenow import (
     registry,
 )
 from stoimenow.posets import poset_from_relations, poset_to_json
+from util import brute_canonical_form
 
 
 def chain(n):
@@ -99,3 +102,38 @@ def test_omega_injective_small():
     for n in range(6):
         forms = [canonical_form(omega(m)) for m in enumerate_stoimenow(n)]
         assert len(set(forms)) == len(forms)
+
+
+def labelled_posets(n):
+    """Every strict partial order on range(n): each naturally labelled one
+    (i < j whenever i is below j), under every relabeling."""
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    natural = []
+    for mask in range(1 << len(upper)):
+        rel = {pair for k, pair in enumerate(upper) if mask >> k & 1}
+        if all((i, l) in rel for i, j in rel for k, l in rel if j == k):
+            natural.append(rel)
+    seen = set()
+    for rel in natural:
+        for perm in permutations(range(n)):
+            relabeled = frozenset((perm[i], perm[j]) for i, j in rel)
+            if relabeled not in seen:
+                seen.add(relabeled)
+                yield poset_from_relations(n, sorted(relabeled))
+
+
+def test_labelled_poset_counts():
+    assert [sum(1 for _ in labelled_posets(n)) for n in range(6)] == [1, 1, 3, 19, 219, 4231]
+
+
+def test_canonical_form_classes_match_brute_force():
+    # every labelled poset on at most 5 elements and every omega image with
+    # n <= 6, mixed: equal forms iff equal brute-force forms
+    family = [p for n in range(6) for p in labelled_posets(n)]
+    family += [omega(m) for n in range(7) for m in enumerate_stoimenow(n)]
+    brute_of = {}
+    form_of = {}
+    for p in family:
+        form, brute = canonical_form(p), brute_canonical_form(p)
+        assert brute_of.setdefault(form, brute) == brute
+        assert form_of.setdefault(brute, form) == form

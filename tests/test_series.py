@@ -15,6 +15,8 @@ from stoimenow import (
     gf_coefficients,
     gf_registry,
 )
+from stoimenow.series import MAX_DEGREE
+from util import ref_mul, ref_pow, ref_sqrt, ref_truediv
 
 
 def test_polynomial_parse_human_form():
@@ -35,6 +37,18 @@ def test_polynomial_parse_comma_form():
 def test_polynomial_parse_rejects(bad):
     with pytest.raises(ValueError):
         Polynomial.parse(bad)
+
+
+def test_polynomial_parse_caps_the_degree():
+    assert Polynomial.parse(f"1-x^{MAX_DEGREE}").degree == MAX_DEGREE
+    assert Polynomial.parse(",".join(["0"] * MAX_DEGREE + ["1"])).degree == MAX_DEGREE
+    for text in (
+        f"1-x^{MAX_DEGREE + 1}",
+        "1-x+3x^5000",
+        ",".join(["0"] * (MAX_DEGREE + 1) + ["1"]),
+    ):
+        with pytest.raises(ValueError, match=f"exceeds {MAX_DEGREE}"):
+            Polynomial.parse(text)
 
 
 def test_polynomial_str_round_trips():
@@ -153,3 +167,74 @@ def test_catalan_defining_quadratic():
     c = catalan_series(order)
     lhs = (2 * c.times_x() - 1) ** 2
     assert lhs == 1 - PowerSeries.monomial(4, 1, order)
+
+
+# Differential tests: the integer kernels against the frozen Fraction loops.
+
+scalars = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=9),
+)
+coefficient_lists = st.lists(scalars, min_size=1, max_size=12)
+nonzero_scalars = scalars.filter(lambda c: c != 0)
+
+
+def exact_fractions(s: PowerSeries) -> bool:
+    return type(s.coeffs) is tuple and all(type(c) is Fraction for c in s.coeffs)
+
+
+@settings(deadline=None)
+@given(coefficient_lists, coefficient_lists)
+def test_mul_matches_reference(a, b):
+    sa, sb = PowerSeries(tuple(a)), PowerSeries(tuple(b))
+    product = sa * sb
+    assert product == ref_mul(sa, sb)
+    assert exact_fractions(product)
+
+
+@settings(deadline=None)
+@given(coefficient_lists, nonzero_scalars, coefficient_lists)
+def test_truediv_matches_reference(a, b0, b_tail):
+    # constant terms such as 2, -3 or 5/7 exercise the b0^(k+1) scaling
+    sa, sb = PowerSeries(tuple(a)), PowerSeries((b0, *b_tail))
+    quotient = sa / sb
+    assert quotient == ref_truediv(sa, sb)
+    assert exact_fractions(quotient)
+    assert quotient * sb == sa.with_order(quotient.order)
+
+
+@settings(deadline=None)
+@given(st.lists(scalars, max_size=12))
+def test_sqrt_matches_reference(tail):
+    s = PowerSeries((1, *tail))
+    root = s.sqrt()
+    assert root == ref_sqrt(s)
+    assert exact_fractions(root)
+
+
+@settings(deadline=None)
+@given(coefficient_lists, st.integers(0, 7))
+def test_pow_matches_reference(a, k):
+    s = PowerSeries(tuple(a))
+    assert s**k == ref_pow(s, k)
+
+
+@settings(deadline=None)
+@given(coefficient_lists, nonzero_scalars)
+def test_scalars_on_either_side_match_reference(a, c):
+    s = PowerSeries(tuple(a))
+    const = PowerSeries.constant(c, s.order)
+    assert c * s == s * c == ref_mul(const, s)
+    assert s / c == ref_truediv(s, const)
+    if s.coeffs[0]:
+        assert c / s == ref_truediv(const, s)
+
+
+def test_kernels_keep_fraction_coefficients_and_reuse_them():
+    values = (Fraction(1), Fraction(-3, 2), Fraction(0))
+    assert PowerSeries(values).coeffs is values
+    mixed = PowerSeries((1, Fraction(1, 2), 0))
+    assert exact_fractions(mixed) and mixed.coeffs == (1, Fraction(1, 2), 0)
+    x = PowerSeries.monomial(1, 1, 64)
+    for series in (x * x, 1 / (2 - x), (1 - 4 * x).sqrt(), (1 - x) ** 5):
+        assert exact_fractions(series)

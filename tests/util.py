@@ -2,12 +2,15 @@
 
 These stay deliberately naive and independent of the library's pruned
 search paths: full enumeration of all perfect matchings, a template scan
-over arc pairs, and unpruned subset enumeration for containment.
+over arc pairs, unpruned subset enumeration for containment, per-term
+Fraction loops for the series kernels, and the all-permutations
+canonical form of a poset.
 """
 
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, permutations
 
-from stoimenow import Matching, Pattern, make_matching, standardize
+from stoimenow import Matching, Pattern, Poset, PowerSeries, make_matching, standardize
 
 
 def all_matchings(n: int) -> list[Matching]:
@@ -66,3 +69,68 @@ def recursive_completions(n, pos, open_openers, pairs, last_closed_opener=0):
         yield from recursive_completions(n, pos + 1, rest, pairs + ((o, pos),), o)
     if len(pairs) + len(open_openers) < n and len(open_openers) + 1 <= 2 * n - pos:
         yield from recursive_completions(n, pos + 1, open_openers + (pos,), pairs)
+
+
+# Frozen Fraction reference of the series kernels: one Fraction operation
+# per term, the way PowerSeries computed them before its integer kernels.
+
+
+def ref_mul(lhs: PowerSeries, rhs: PowerSeries) -> PowerSeries:
+    n = min(lhs.order, rhs.order)
+    out = [Fraction(0)] * (n + 1)
+    for i, a in enumerate(lhs.coeffs[: n + 1]):
+        if not a:
+            continue
+        for j in range(n + 1 - i):
+            b = rhs.coeffs[j]
+            if b:
+                out[i + j] += a * b
+    return PowerSeries(tuple(out))
+
+
+def ref_truediv(lhs: PowerSeries, rhs: PowerSeries) -> PowerSeries:
+    n = min(lhs.order, rhs.order)
+    inv0 = 1 / rhs.coeffs[0]
+    out: list[Fraction] = []
+    for k in range(n + 1):
+        acc = lhs.coeffs[k]
+        for j in range(1, k + 1):
+            if j < len(rhs.coeffs) and rhs.coeffs[j]:
+                acc -= rhs.coeffs[j] * out[k - j]
+        out.append(acc * inv0)
+    return PowerSeries(tuple(out))
+
+
+def ref_pow(base: PowerSeries, k: int) -> PowerSeries:
+    result = PowerSeries.constant(1, base.order)
+    for _ in range(k):
+        result = ref_mul(result, base)
+    return result
+
+
+def ref_sqrt(s: PowerSeries) -> PowerSeries:
+    """Newton iteration y <- (y + s / y) / 2, doubling the order each step."""
+    target = s.order
+    y = PowerSeries((Fraction(1),))
+    while y.order < target:
+        m = min(2 * y.order + 1, target)
+        quotient = ref_truediv(s.with_order(m), y.with_order(m))
+        y = ref_mul(y.with_order(m) + quotient, PowerSeries.constant(Fraction(1, 2), m))
+    return y
+
+
+def brute_canonical_form(p: Poset) -> tuple[tuple[int, int], ...]:
+    """Least sorted relation list over all n! relabelings."""
+    best = None
+    for perm in permutations(range(p.size)):
+        rels = tuple(
+            sorted(
+                (perm[i], perm[j])
+                for i in range(p.size)
+                for j in range(p.size)
+                if p.less[i][j]
+            )
+        )
+        if best is None or rels < best:
+            best = rels
+    return best
