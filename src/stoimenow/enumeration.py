@@ -196,8 +196,6 @@ def fishburn_oracle(n: int) -> int:
 def count_avoiders(n: int, s: PatternSet) -> int:
     """|M_n(S)|: Stoimenow matchings of size n avoiding every pattern in s."""
     _check_size(n)
-    if not s.members:
-        return count_stoimenow(n)
     return _tally(n, sorted(s.members, key=str), [(1 << len(s.members)) - 1])[0]
 
 
@@ -206,7 +204,6 @@ class CountTable:
     """Avoidance counts a_1..a_{n_max} for each requested pattern set."""
 
     rows: tuple[tuple[PatternSet, tuple[int, ...]], ...]
-    n_max: int
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -231,10 +228,15 @@ def _tally(n: int, distinct: Sequence[Pattern], row_masks: Sequence[int]) -> lis
     """Avoider counts in M_n for each row; row r forbids the patterns of
     `distinct` whose bits are set in row_masks[r].
 
-    Each leaf keeps an `alive` bitmask of the rows it still avoids.  A
-    pattern is tested only while some alive row forbids it, so a leaf's
-    tests stop once no row is alive.
+    Pattern-free counts are decided here and nowhere else: with no
+    patterns at all, every row is |M_n| from the compressed counter and no
+    matching is visited.  Otherwise each leaf keeps an `alive` bitmask of
+    the rows it still avoids.  A pattern is tested only while some alive
+    row forbids it, so a leaf's tests stop once no row is alive; a row
+    with no patterns never dies and counts every leaf.
     """
+    if not distinct:
+        return [count_stoimenow(n)] * len(row_masks)
     rows_of = [
         sum(1 << r for r, mask in enumerate(row_masks) if mask >> bit & 1) for bit in range(len(distinct))
     ]
@@ -254,32 +256,16 @@ def _tally(n: int, distinct: Sequence[Pattern], row_masks: Sequence[int]) -> lis
 def count_table(rows: Sequence[PatternSet], n_max: int) -> CountTable:
     """Avoidance counts for every row and every n in 1..n_max.
 
-    Rows with no patterns come from the compressed counter.  The others
-    share one enumeration pass per n, in which each leaf is tested
-    against each distinct pattern at most once."""
+    One `_tally` call per n covers every row, each leaf being tested
+    against each distinct pattern at most once.  When no row has a
+    pattern, `_tally` takes every count from the compressed counter; a
+    pattern-free row beside rows with patterns is counted in the walk.
+    """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     _check_size(n_max)
-    row_list = list(rows)
-    distinct: list[Pattern] = []
-    seen: dict[Pattern, int] = {}
-    for ps in row_list:
-        for p in sorted(ps.members, key=str):
-            if p not in seen:
-                seen[p] = len(distinct)
-                distinct.append(p)
-    row_masks = [sum(1 << seen[p] for p in ps.members) for ps in row_list]
-    counts = [[0] * n_max for _ in row_list]
-    for r, mask in enumerate(row_masks):
-        if not mask:
-            counts[r] = [count_stoimenow(n) for n in range(1, n_max + 1)]
-    walked = [r for r, mask in enumerate(row_masks) if mask]
-    masks = [row_masks[r] for r in walked]
-    if walked:
-        for n in range(1, n_max + 1):
-            for r, total in zip(walked, _tally(n, distinct, masks)):
-                counts[r][n - 1] = total
-    return CountTable(
-        tuple((ps, tuple(c)) for ps, c in zip(row_list, counts)),
-        n_max,
-    )
+    distinct = sorted({p for ps in rows for p in ps.members}, key=str)
+    bit = {p: i for i, p in enumerate(distinct)}
+    row_masks = [sum(1 << bit[p] for p in ps.members) for ps in rows]
+    per_n = [_tally(n, distinct, row_masks) for n in range(1, n_max + 1)]
+    return CountTable(tuple(zip(rows, zip(*per_n))))

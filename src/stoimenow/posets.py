@@ -21,32 +21,37 @@ class UnknownForbiddenPoset(ValueError):
 
 @dataclass(frozen=True)
 class Poset:
-    """Strictly-less relation as an n-by-n boolean matrix."""
+    """Strictly-less relation as an n-by-n boolean matrix.
+
+    A directly built `Poset` is trusted to be a strict partial order, as a
+    directly built `Matching` is trusted to be a perfect matching; `omega`
+    builds one by construction.  Relations from outside go through
+    `poset_from_relations`, which checks them.
+    """
 
     size: int
     less: tuple[tuple[bool, ...], ...]
 
-    def __post_init__(self):
-        n, rel = self.size, self.less
-        if len(rel) != n or any(len(row) != n for row in rel):
-            raise ValueError("relation matrix must be size x size")
-        for i in range(n):
-            if rel[i][i]:
-                raise ValueError("relation must be irreflexive")
-            for j in range(n):
-                if rel[i][j] and rel[j][i]:
-                    raise ValueError("relation must be antisymmetric")
-                if rel[i][j]:
-                    for k in range(n):
-                        if rel[j][k] and not rel[i][k]:
-                            raise ValueError("relation must be transitive")
-
 
 def poset_from_relations(size: int, relations: list[tuple[int, int]]) -> Poset:
-    """Build a poset from 0-based (smaller, larger) pairs; must already be transitive."""
+    """Build a poset from 0-based (smaller, larger) pairs.
+
+    Raises ValueError unless the pairs, as given, already form a strict
+    partial order on range(size): irreflexive, antisymmetric, transitive.
+    """
     rel = [[False] * size for _ in range(size)]
     for i, j in relations:
+        if not (0 <= i < size and 0 <= j < size):
+            raise ValueError(f"relation {(i, j)} is outside 0..{size - 1}")
         rel[i][j] = True
+    for i in range(size):
+        if rel[i][i]:
+            raise ValueError("relation must be irreflexive")
+        for j in range(size):
+            if rel[i][j] and rel[j][i]:
+                raise ValueError("relation must be antisymmetric")
+            if rel[i][j] and any(rel[j][k] and not rel[i][k] for k in range(size)):
+                raise ValueError("relation must be transitive")
     return Poset(size, tuple(tuple(row) for row in rel))
 
 

@@ -174,9 +174,6 @@ class RationalGF:
                 f"cannot normalize denominator constant term {den.coeffs[0]} to 1"
             )
 
-    def coefficients(self, order: int) -> list[int]:
-        return gf_coefficients(self, order)
-
     def __str__(self) -> str:
         return f"({self.numerator})/({self.denominator})"
 

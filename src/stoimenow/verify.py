@@ -124,6 +124,8 @@ def verify_table(n_max: int = 7, row_names: list[str] | None = None) -> Verifica
         missing = wanted - {r.name for r in rows}
         if missing:
             raise ValueError(f"unknown rows: {sorted(missing)}")
+        if not rows:
+            raise ValueError("row names select no row")
     pattern_sets = [parse_pattern_set(r.name) for r in rows]
     table = count_table(pattern_sets, n_max)
     outcomes = []
@@ -178,10 +180,11 @@ def fibonacci_suite(order: int) -> list[CheckOutcome]:
     return [CheckOutcome("fibonacci-identity", fibonacci_identity_check(order), f"n<={order}")]
 
 
-def _p2_avoiders(n_max: int) -> dict[int, list[Matching]]:
-    p2 = parse_pattern_set("P2")
+def _avoiders(name: str, n_max: int) -> dict[int, list[Matching]]:
+    """For n = 0..n_max, the matchings of M_n that avoid the named set."""
+    s = parse_pattern_set(name)
     return {
-        n: [m for m in enumerate_stoimenow(n) if avoids_all(m, p2)]
+        n: [m for m in enumerate_stoimenow(n) if avoids_all(m, s)]
         for n in range(n_max + 1)
     }
 
@@ -190,7 +193,7 @@ def bijection_suite(total_size: int = 6, string_n_max: int = 6) -> list[CheckOut
     """Round-trip and worked-example checks for both bijections."""
     outcomes = []
 
-    avoiders = _p2_avoiders(total_size)
+    avoiders = _avoiders("P2", total_size)
     glue_ok = True
     pairs = 0
     for n1 in range(total_size):
@@ -232,16 +235,13 @@ def bijection_suite(total_size: int = 6, string_n_max: int = 6) -> list[CheckOut
     )
     outcomes.append(CheckOutcome("string-worked-examples", strings_ok))
 
-    r4 = parse_pattern_set("R4")
+    r4_avoiders = _avoiders("R4", string_n_max)
     bijection_ok = True
     for n in range(1, string_n_max + 1):
-        words = [""]
-        for _ in range(n - 1):
-            words = [w + ch for w in words for ch in "ab"]
+        words = ["".join(w) for w in product("ab", repeat=n - 1)]
         images = [string_to_matching(w) for w in words]
         image_set = set(images)
-        avoider_set = {m for m in enumerate_stoimenow(n) if avoids_all(m, r4)}
-        if len(image_set) != len(words) or image_set != avoider_set:
+        if len(image_set) != len(words) or image_set != set(r4_avoiders[n]):
             bijection_ok = False
         if any(matching_to_string(m) != w for w, m in zip(words, images)):
             bijection_ok = False
@@ -256,16 +256,22 @@ def bijection_suite(total_size: int = 6, string_n_max: int = 6) -> list[CheckOut
 
 
 def omega_suite(n_max: int = 6, injectivity_n_max: int | None = None) -> list[CheckOutcome]:
-    """Interval-order image, the two avoidance equivalences, and injectivity."""
-    if injectivity_n_max is None:
-        injectivity_n_max = min(n_max, 6)
+    """Interval-order image, the two avoidance equivalences, and injectivity.
+
+    One pass over M_n per n computes each `omega(m)` once; injectivity is
+    checked for n up to min(injectivity_n_max, n_max), by default
+    min(6, n_max).
+    """
+    injective_to = min(n_max, 6 if injectivity_n_max is None else injectivity_n_max)
     p1 = registry()["P1"]
     p2 = registry()["P2"]
     free_ok = True
     three_one_ok = True
     n_ok = True
+    injective = True
     total = 0
     for n in range(n_max + 1):
+        forms = []
         for m in enumerate_stoimenow(n):
             pos = omega(m)
             total += 1
@@ -275,16 +281,15 @@ def omega_suite(n_max: int = 6, injectivity_n_max: int | None = None) -> list[Ch
                 three_one_ok = False
             if contains(m, p2) != poset_contains(pos, "N"):
                 n_ok = False
-    injective = True
-    for n in range(injectivity_n_max + 1):
-        forms = [canonical_form(omega(m)) for m in enumerate_stoimenow(n)]
+            if n <= injective_to:
+                forms.append(canonical_form(pos))
         if len(set(forms)) != len(forms):
             injective = False
     return [
         CheckOutcome("omega-images-2+2-free", free_ok, f"{total} matchings, n <= {n_max}"),
         CheckOutcome("omega-P1-iff-3+1-free", three_one_ok, f"n <= {n_max}"),
         CheckOutcome("omega-P2-iff-N-free", n_ok, f"n <= {n_max}"),
-        CheckOutcome("omega-injective", injective, f"n <= {injectivity_n_max}"),
+        CheckOutcome("omega-injective", injective, f"n <= {injective_to}"),
     ]
 
 

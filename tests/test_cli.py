@@ -1,5 +1,6 @@
 import json
 import re
+import shlex
 import time
 from pathlib import Path
 
@@ -170,6 +171,14 @@ def test_table_unknown_row(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("rows", [";", ""])
+def test_table_rows_selecting_nothing_are_refused(capsys, rows):
+    code, out, err = run(capsys, "table", "--n-max", "3", "--rows", rows)
+    assert code == 2
+    assert out == ""
+    assert "select no row" in err
+
+
 def test_check_suites(capsys):
     code, out, _ = run(capsys, "check", "--suite", "fibonacci")
     assert code == 0
@@ -228,6 +237,35 @@ def test_biject_usage_errors(capsys):
     assert code == 2
 
 
+def crossing(n):
+    return "".join(f"({i},{i + n})" for i in range(1, n + 1))
+
+
+def test_biject_refuses_operands_past_the_limit_at_once(capsys):
+    big = crossing(cli.MAX_BIJECT_ARCS + 1)
+    for argv in (
+        ["--op", "split", "--input", big],
+        ["--op", "unstring", "--input", big],
+        ["--op", "omega", "--input", big],
+        ["--op", "glue", "--left", big, "--right", "(1,2)"],
+        ["--op", "glue", "--left", "(1,2)", "--right", big],
+        ["--op", "string", "--input", "a" * cli.MAX_BIJECT_ARCS],
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "biject", *argv)
+        assert time.perf_counter() - start < 0.5, argv
+        assert code == 2, argv
+        assert out == ""
+        assert f"biject takes at most {cli.MAX_BIJECT_ARCS}" in err
+
+
+def test_biject_splits_an_all_crossing_input_at_the_limit(capsys):
+    n = cli.MAX_BIJECT_ARCS
+    code, out, _ = run(capsys, "biject", "--op", "split", "--input", crossing(n))
+    assert code == 0
+    assert out == f"{crossing(n - 1)} | ∅\n"
+
+
 def test_bounds_rejected(capsys):
     code, _, err = run(capsys, "gen", "--n", "15")
     assert code == 2
@@ -254,6 +292,16 @@ def test_docs_list_every_subcommand():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     for command in commands:
         assert f"stoimenow {command} " in readme, command
+
+
+def test_readme_cli_examples_run(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    examples = [line for line in block.splitlines() if line.startswith("stoimenow ")]
+    assert len(examples) >= 20
+    for line in examples:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line
+        capsys.readouterr()
 
 
 def test_unknown_flag_exits_2():

@@ -139,6 +139,15 @@ def test_count_table_csv_and_json():
     ]
 
 
+def test_count_table_walks_a_pattern_free_row_beside_patterned_rows():
+    rows = [parse_pattern_set(name) for name in ("", "P1", "P1,P3", "R4")]
+    table = count_table(rows, 7)
+    assert table.rows[0] == (rows[0], tuple(fishburn_oracle(n) for n in range(1, 8)))
+    for ps, (row, counts) in zip(rows[1:], table.rows[1:]):
+        assert row == ps
+        assert counts == tuple(count_avoiders(n, ps) for n in range(1, 8)), ps.name
+
+
 def test_count_table_bounds():
     with pytest.raises(ValueError):
         count_table([parse_pattern_set("P1")], 0)

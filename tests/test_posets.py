@@ -3,7 +3,6 @@ from itertools import permutations
 import pytest
 
 from stoimenow import (
-    Poset,
     UnknownForbiddenPoset,
     avoids_all,
     canonical_form,
@@ -17,6 +16,7 @@ from stoimenow import (
     registry,
 )
 from stoimenow.posets import poset_from_relations, poset_to_json
+from stoimenow.verify import omega_suite
 from util import brute_canonical_form
 
 
@@ -43,11 +43,33 @@ def test_omega_worked_example():
 
 def test_poset_validation():
     with pytest.raises(ValueError):
-        Poset(2, ((True, False), (False, False)))  # reflexive
+        poset_from_relations(2, [(0, 0)])  # reflexive
     with pytest.raises(ValueError):
-        Poset(2, ((False, True), (True, False)))  # not antisymmetric
+        poset_from_relations(2, [(0, 1), (1, 0)])  # not antisymmetric
     with pytest.raises(ValueError):
         poset_from_relations(3, [(0, 1), (1, 2)])  # not transitive
+
+
+def test_poset_relations_must_name_elements():
+    for pair in [(0, 2), (2, 0), (-1, 0), (0, -1)]:
+        with pytest.raises(ValueError):
+            poset_from_relations(2, [pair])
+
+
+def test_omega_images_pass_the_relation_checks():
+    # omega builds Poset directly, unchecked; every image must survive the
+    # checks of poset_from_relations unchanged
+    for n in range(8):
+        for m in enumerate_stoimenow(n):
+            image = omega(m)
+            pairs = [(i, j) for i in range(n) for j in range(n) if image.less[i][j]]
+            assert poset_from_relations(n, pairs) == image
+
+
+def test_omega_suite_caps_injectivity_at_n_max():
+    outcomes = omega_suite(3, injectivity_n_max=6)
+    assert [o.line() for o in outcomes][-1] == "omega-injective: PASS (n <= 3)"
+    assert all(o.passed for o in outcomes)
 
 
 def test_forbidden_poset_detection():
