@@ -32,16 +32,12 @@ from .patterns import (
 )
 from .enumeration import (
     CountTable,
-    GenState,
     MAX_ARCS,
-    completions,
     count_avoiders,
-    count_completions,
     count_stoimenow,
     count_table,
     enumerate_stoimenow,
     fishburn_oracle,
-    partition_prefixes,
 )
 from .series import (
     DivByNonUnit,

@@ -88,8 +88,8 @@ def cmd_gen(args) -> int:
 
 def cmd_count(args) -> int:
     patterns = parse_pattern_set(args.avoid or "")
-    if args.n is None and args.n_max is None:
-        raise ValueError("count needs --n or --n-max")
+    if (args.n is None) == (args.n_max is None):
+        raise ValueError("count needs exactly one of --n and --n-max")
     if patterns.members:
         flag, n = ("--n", args.n) if args.n is not None else ("--n-max", args.n_max)
         _check_walk(flag, n, "count --avoid")
@@ -122,9 +122,10 @@ def cmd_table(args) -> int:
 def _series_source(args) -> RationalGF:
     if args.name:
         registry = gf_registry()
-        if args.name not in registry:
+        name = parse_pattern_set(args.name).name
+        if name not in registry:
             raise ValueError(f"unknown series name {args.name!r}")
-        return registry[args.name]
+        return registry[name]
     if not args.num or not args.den:
         raise ValueError("need either --name or both --num and --den")
     return RationalGF(Polynomial.parse(args.num), Polynomial.parse(args.den))

@@ -13,18 +13,21 @@ at the earliest possible site:
 Emission order is deterministic: at each site, closers are tried in
 increasing order of their arc's opener, then the opener branch.
 
+Generation and counting both start at site 1 with no arc open; every
+walk covers all of M_n.
+
 `completions` is one iterative depth-first search.  Its explicit stack
 holds (site, open openers, opener closed at site-1), and a partner array
 indexed by site records the current path, so a leaf is read off the
 array.
 
-Counting never visits the leaves.  The number of completions of a prefix
-depends only on a compressed state (a generating-tree, or
-transfer-matrix, count): the sites left, the arcs still to open, one bit
-per open arc telling whether site o-1 opened an arc that is still open,
-the index of the first open arc the last closer allows, and whether the
-previous site was an opener.  A memo over that state makes the count of
-M_14 take 8,823 states.
+Counting never visits the leaves.  The number of ways to finish a
+partial matching depends only on a compressed state (a generating-tree,
+or transfer-matrix, count): the sites left, the arcs still to open, one
+bit per open arc telling whether site o-1 opened an arc that is still
+open, the index of the first open arc the last closer allows, and
+whether the previous site was an opener.  A memo over that state makes
+the count of M_14 take 8,823 states.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,46 +46,13 @@ from .patterns import Pattern, PatternSet, contains
 MAX_ARCS = 14
 
 
-@dataclass(frozen=True)
-class GenState:
-    """A viable generation prefix: sites below `pos` are already decided."""
-
-    n: int
-    pos: int
-    open_openers: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]
-    last_closed_opener: int = 0  # 0 unless site pos-1 is a closer
-
-
-def _root(n: int) -> GenState:
-    return GenState(n=n, pos=1, open_openers=(), pairs=())
-
-
-def _children(s: GenState) -> list[GenState]:
-    kids = []
-    opens = s.open_openers
-    for idx, o in enumerate(opens):
-        if o < s.last_closed_opener:
-            continue
-        if idx and opens[idx - 1] == o - 1:
-            continue
-        kids.append(
-            GenState(s.n, s.pos + 1, opens[:idx] + opens[idx + 1 :], s.pairs + ((o, s.pos),), o)
-        )
-    if len(s.pairs) + len(opens) < s.n and len(opens) + 1 <= 2 * s.n - s.pos:
-        kids.append(GenState(s.n, s.pos + 1, opens + (s.pos,), s.pairs))
-    return kids
-
-
-def completions(state: GenState) -> Iterator[Matching]:
-    """All Stoimenow matchings extending `state`, in the canonical order."""
-    n2 = 2 * state.n
+def completions(n: int) -> Iterator[Matching]:
+    """All Stoimenow matchings with n arcs, in the canonical order; n is not range-checked."""
+    n2 = 2 * n
     # one Arc per (opener, closer), shared by every leaf that uses it
     arc = [[Arc(o, c) if o < c else None for c in range(n2 + 1)] for o in range(n2 + 1)]
     partner = [0] * (n2 + 1)
-    for o, c in state.pairs:
-        partner[o], partner[c] = c, o
-    stack = [(state.pos, state.open_openers, state.last_closed_opener)]
+    stack = [(1, (), 0)]
     while stack:
         site, opens, last = stack.pop()
         if last:
@@ -103,13 +72,27 @@ def completions(state: GenState) -> Iterator[Matching]:
             stack.append((site + 1, opens[:idx] + opens[idx + 1 :], o))
 
 
-def count_completions(state: GenState) -> int:
-    """How many matchings `completions(state)` yields, without visiting them.
+def _check_size(n: int) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > MAX_ARCS:
+        raise ValueError(f"n={n} exceeds the supported maximum of {MAX_ARCS}")
+
+
+def enumerate_stoimenow(n: int) -> Iterator[Matching]:
+    """Every Stoimenow matching with n arcs, exactly once, in deterministic order."""
+    _check_size(n)
+    return completions(n)
+
+
+def count_stoimenow(n: int) -> int:
+    """|M_n| without materializing matchings.
 
     `blocked` has bit i set when open arc i (by opener) cannot close yet,
     because the arc opened at the site before it is still open; the open
     arcs number `sites_left - 2 * to_open`.  The memo lives for this call.
     """
+    _check_size(n)
 
     @lru_cache(maxsize=None)
     def count(sites_left: int, to_open: int, blocked: int, first: int, after_opener: bool) -> int:
@@ -126,46 +109,9 @@ def count_completions(state: GenState) -> int:
             total += count(sites_left - 1, to_open - 1, blocked | after_opener << open_arcs, 0, True)
         return total
 
-    opens = state.open_openers
-    result = count(
-        2 * state.n - state.pos + 1,
-        state.n - len(state.pairs) - len(opens),
-        sum(1 << i for i in range(1, len(opens)) if opens[i - 1] == opens[i] - 1),
-        bisect_left(opens, state.last_closed_opener) if state.last_closed_opener else 0,
-        state.pos > 1 and not state.last_closed_opener,
-    )
+    result = count(2 * n, n, 0, 0, False)
     count.cache_clear()
     return result
-
-
-def _check_size(n: int) -> None:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > MAX_ARCS:
-        raise ValueError(f"n={n} exceeds the supported maximum of {MAX_ARCS}")
-
-
-def enumerate_stoimenow(n: int) -> Iterator[Matching]:
-    """Every Stoimenow matching with n arcs, exactly once, in deterministic order."""
-    _check_size(n)
-    return completions(_root(n))
-
-
-def count_stoimenow(n: int) -> int:
-    """|M_n| without materializing matchings."""
-    _check_size(n)
-    return count_completions(_root(n))
-
-
-def partition_prefixes(n: int, depth: int) -> list[GenState]:
-    """Viable prefixes of length `depth` whose completions partition M_n."""
-    _check_size(n)
-    if not 0 <= depth <= 2 * n:
-        raise ValueError("depth must be between 0 and 2n")
-    states = [_root(n)]
-    for _ in range(depth):
-        states = [child for s in states for child in _children(s)]
-    return states
 
 
 def fishburn_oracle(n: int) -> int:
@@ -242,7 +188,7 @@ def _tally(n: int, distinct: Sequence[Pattern], row_masks: Sequence[int]) -> lis
     ]
     everyone = (1 << len(row_masks)) - 1
     survivors: Counter[int] = Counter()
-    for m in completions(_root(n)):
+    for m in completions(n):
         alive = everyone
         for p, rows in zip(distinct, rows_of):
             if alive & rows and contains(m, p):

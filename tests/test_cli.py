@@ -109,6 +109,13 @@ def test_series_by_name(capsys):
     assert values == ["1", "1", "2", "5", "11", "22", "42", "79", "149"]
 
 
+def test_series_name_accepts_any_pattern_order(capsys):
+    for given, canonical in (("P4,P2", "P2,P4"), ("P5,P3,P4", "P3,P4,P5")):
+        got = run(capsys, "series", "--name", given, "--order", "8")
+        assert got[0] == 0
+        assert got == run(capsys, "series", "--name", canonical, "--order", "8")
+
+
 def test_series_by_polynomials(capsys):
     code, out, _ = run(capsys, "series", "--num", "1", "--den", "1-1x", "--order", "3")
     assert code == 0
@@ -304,6 +311,12 @@ def test_readme_cli_examples_run(capsys):
         capsys.readouterr()
 
 
+def test_readme_library_tour_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library quick tour\n.*?```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--n", "2", "--bogus"])
@@ -319,4 +332,11 @@ def test_gen_json_format(capsys):
 def test_count_requires_a_bound(capsys):
     code, _, err = run(capsys, "count", "--avoid", "P3")
     assert code == 2
+    assert "error" in err
+
+
+def test_count_refuses_both_bounds(capsys):
+    code, out, err = run(capsys, "count", "--n", "3", "--n-max", "5")
+    assert code == 2
+    assert out == ""
     assert "error" in err

@@ -5,9 +5,7 @@ import pytest
 from stoimenow import (
     EMPTY,
     PatternSet,
-    completions,
     count_avoiders,
-    count_completions,
     count_stoimenow,
     count_table,
     enumerate_stoimenow,
@@ -15,7 +13,6 @@ from stoimenow import (
     is_stoimenow,
     make_matching,
     parse_pattern_set,
-    partition_prefixes,
     registry,
 )
 
@@ -51,23 +48,13 @@ def test_counter_matches_oracle_to_the_size_cap():
     assert count_stoimenow(14) == 796713190
 
 
-def test_counter_matches_generator_from_every_prefix():
-    for n in range(8):
-        for depth in range(2 * n + 1):
-            for s in partition_prefixes(n, depth):
-                assert count_completions(s) == len(list(completions(s))), (n, depth, s)
-
-
 def _pairs(matchings):
     return [tuple((a.opener, a.closer) for a in m.arcs) for m in matchings]
 
 
 def test_emission_order_matches_recursive_reference():
-    prefixes = [s for n in range(8) for s in partition_prefixes(n, 0)]
-    prefixes += partition_prefixes(6, 5) + partition_prefixes(7, 9)
-    for s in prefixes:
-        want = list(recursive_completions(s.n, s.pos, s.open_openers, s.pairs, s.last_closed_opener))
-        assert _pairs(completions(s)) == want, s
+    for n in range(8):
+        assert _pairs(enumerate_stoimenow(n)) == list(recursive_completions(n)), n
 
 
 def test_emitted_matchings_are_stoimenow_and_distinct():
@@ -91,26 +78,6 @@ def test_size_guard():
         count_stoimenow(15)
     with pytest.raises(ValueError):
         enumerate_stoimenow(-1)
-
-
-def test_partition_prefixes():
-    root = partition_prefixes(3, 0)
-    assert len(root) == 1 and root[0].pos == 1
-    assert len(partition_prefixes(2, 1)) == 1  # site 1 is always an opener
-    states = partition_prefixes(6, 4)
-    assert sum(len(list(completions(s))) for s in states) == 217
-    with pytest.raises(ValueError):
-        partition_prefixes(3, 7)
-    with pytest.raises(ValueError):
-        partition_prefixes(3, -1)
-
-
-def test_partition_preserves_order():
-    for depth in (1, 3, 6):
-        flattened = [
-            m for s in partition_prefixes(5, depth) for m in completions(s)
-        ]
-        assert flattened == list(enumerate_stoimenow(5))
 
 
 def test_count_avoiders_examples():

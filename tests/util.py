@@ -52,23 +52,27 @@ def naive_contains(m: Matching, p: Pattern) -> bool:
     )
 
 
-def recursive_completions(n, pos, open_openers, pairs, last_closed_opener=0):
+def recursive_completions(n):
     """Frozen recursive reference of the generator's canonical order.
 
-    Takes the fields of a generation prefix and yields the arc pairs of
-    each completion, sorted by opener.  At each site the closers come in
-    increasing order of their opener, then the opener branch.
+    Yields the arc pairs of each Stoimenow matching with n arcs, sorted
+    by opener.  At each site the closers come in increasing order of
+    their opener, then the opener branch.
     """
-    if pos > 2 * n:
-        yield tuple(sorted(pairs))
-        return
-    for idx, o in enumerate(open_openers):
-        if o < last_closed_opener or (idx and open_openers[idx - 1] == o - 1):
-            continue
-        rest = open_openers[:idx] + open_openers[idx + 1 :]
-        yield from recursive_completions(n, pos + 1, rest, pairs + ((o, pos),), o)
-    if len(pairs) + len(open_openers) < n and len(open_openers) + 1 <= 2 * n - pos:
-        yield from recursive_completions(n, pos + 1, open_openers + (pos,), pairs)
+
+    def walk(pos, open_openers, pairs, last_closed_opener):
+        if pos > 2 * n:
+            yield tuple(sorted(pairs))
+            return
+        for idx, o in enumerate(open_openers):
+            if o < last_closed_opener or (idx and open_openers[idx - 1] == o - 1):
+                continue
+            rest = open_openers[:idx] + open_openers[idx + 1 :]
+            yield from walk(pos + 1, rest, pairs + ((o, pos),), o)
+        if len(pairs) + len(open_openers) < n and len(open_openers) + 1 <= 2 * n - pos:
+            yield from walk(pos + 1, open_openers + (pos,), pairs, 0)
+
+    return walk(1, (), (), 0)
 
 
 # Frozen Fraction reference of the series kernels: one Fraction operation
