@@ -43,7 +43,12 @@ from typing import Iterator, Sequence
 from .matching import Arc, Matching
 from .patterns import Pattern, PatternSet, contains
 
+# Cap of the compressed counter, which visits no matching.
 MAX_ARCS = 14
+# Anything that visits every matching (generation, and counts with a
+# pattern) refuses larger n: M_11 already holds 1,420,053 matchings, and
+# M_12 is 7.6 times as many.
+MAX_WALK_ARCS = 11
 
 
 def completions(n: int) -> Iterator[Matching]:
@@ -72,16 +77,18 @@ def completions(n: int) -> Iterator[Matching]:
             stack.append((site + 1, opens[:idx] + opens[idx + 1 :], o))
 
 
-def _check_size(n: int) -> None:
+def _check_size(n: int, walks: bool) -> None:
+    """Refuse a negative n, or an n past the cap of the method that pays for it."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > MAX_ARCS:
-        raise ValueError(f"n={n} exceeds the supported maximum of {MAX_ARCS}")
+    cap, method = (MAX_WALK_ARCS, "a walk over every matching") if walks else (MAX_ARCS, "the counter")
+    if n > cap:
+        raise ValueError(f"n={n}: n must be at most {cap} for {method}")
 
 
 def enumerate_stoimenow(n: int) -> Iterator[Matching]:
     """Every Stoimenow matching with n arcs, exactly once, in deterministic order."""
-    _check_size(n)
+    _check_size(n, walks=True)
     return completions(n)
 
 
@@ -92,7 +99,7 @@ def count_stoimenow(n: int) -> int:
     because the arc opened at the site before it is still open; the open
     arcs number `sites_left - 2 * to_open`.  The memo lives for this call.
     """
-    _check_size(n)
+    _check_size(n, walks=False)
 
     @lru_cache(maxsize=None)
     def count(sites_left: int, to_open: int, blocked: int, first: int, after_opener: bool) -> int:
@@ -140,9 +147,14 @@ def fishburn_oracle(n: int) -> int:
 
 
 def count_avoiders(n: int, s: PatternSet) -> int:
-    """|M_n(S)|: Stoimenow matchings of size n avoiding every pattern in s."""
-    _check_size(n)
-    return _tally(n, sorted(s.members, key=str), [(1 << len(s.members)) - 1])[0]
+    """|M_n(S)|: Stoimenow matchings of size n avoiding every pattern in s.
+
+    With no pattern the counter answers up to MAX_ARCS; otherwise every
+    matching is visited, so n is capped at MAX_WALK_ARCS.
+    """
+    distinct = sorted(s.members, key=str)
+    _check_size(n, walks=bool(distinct))
+    return _tally(n, distinct, [(1 << len(distinct)) - 1])[0]
 
 
 @dataclass(frozen=True)
@@ -179,7 +191,9 @@ def _tally(n: int, distinct: Sequence[Pattern], row_masks: Sequence[int]) -> lis
     matching is visited.  Otherwise each leaf keeps an `alive` bitmask of
     the rows it still avoids.  A pattern is tested only while some alive
     row forbids it, so a leaf's tests stop once no row is alive; a row
-    with no patterns never dies and counts every leaf.
+    with no patterns never dies and counts every leaf.  Callers check n
+    with `_check_size(n, walks=bool(distinct))`, the cap of the method
+    this test picks.
     """
     if not distinct:
         return [count_stoimenow(n)] * len(row_masks)
@@ -206,11 +220,12 @@ def count_table(rows: Sequence[PatternSet], n_max: int) -> CountTable:
     against each distinct pattern at most once.  When no row has a
     pattern, `_tally` takes every count from the compressed counter; a
     pattern-free row beside rows with patterns is counted in the walk.
+    n_max is checked against the cap of that method before any n is counted.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    _check_size(n_max)
     distinct = sorted({p for ps in rows for p in ps.members}, key=str)
+    _check_size(n_max, walks=bool(distinct))
     bit = {p: i for i, p in enumerate(distinct)}
     row_masks = [sum(1 << bit[p] for p in ps.members) for ps in rows]
     per_n = [_tally(n, distinct, row_masks) for n in range(1, n_max + 1)]

@@ -162,7 +162,9 @@ def parse_pattern_set(text: str) -> PatternSet:
     """Parse the CLI grammar: comma-separated atlas names or arc-list literals.
 
     Example: ``P1,P3`` or ``P2,(1,3)(2,5)(4,6)``.  Custom literals must
-    already be valid matchings on {1..2k} (one canonical spelling each).
+    already be valid matchings on {1..2k} (one canonical spelling each); a
+    literal equal to an atlas template takes the atlas name, so
+    ``(1,3)(2,5)(4,6)`` is R3.
     """
     text = text.strip()
     if not text:
@@ -174,7 +176,8 @@ def parse_pattern_set(text: str) -> PatternSet:
         if token in reg:
             members.append(reg[token])
         elif token.startswith("("):
-            members.append(Pattern(parse_arcs(token)))
+            template = parse_arcs(token)
+            members.append(Pattern(template, _template_names().get(template)))
         else:
             raise ValueError(f"unknown pattern {token!r}")
     return PatternSet(frozenset(members))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .bijections import glue, matching_to_string, split, string_to_matching
-from .enumeration import count_table, enumerate_stoimenow
+from .enumeration import MAX_ARCS, count_table, enumerate_stoimenow
 from .identities import (
     check_case_sums,
     check_f_equals_catalan,
@@ -304,11 +304,21 @@ _RUNNERS = {
     "bijections": lambda order, n_max: bijection_suite(n_max, n_max),
 }
 SUITES = (*_RUNNERS, "all")
+# The suites that walk every matching up to n_max refuse larger values:
+# omega at n_max 8 takes about 5 s on a 2-core host, and each further arc
+# multiplies the walk by about 7.  The others ignore n_max, which still
+# has to lie in 1..MAX_ARCS.
+MAX_CHECK_WALK_ARCS = 8
+WALKING_SUITES = ("omega", "bijections", "all")
 
 
 def run_suite(name: str, order: int = 12, n_max: int = 6) -> list[CheckOutcome]:
+    """Run one suite of `SUITES`, as `check` does; out-of-range n_max raises ValueError."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    cap = MAX_CHECK_WALK_ARCS if name in WALKING_SUITES else MAX_ARCS
+    if not 1 <= n_max <= cap:
+        raise ValueError(f"--n-max must be at most {cap} for check --suite {name} (and at least 1)")
     if name == "all":
         return [outcome for runner in _RUNNERS.values() for outcome in runner(order, n_max)]
-    if name not in _RUNNERS:
-        raise ValueError(f"unknown suite {name!r}")
     return _RUNNERS[name](order, n_max)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import stoimenow.cli as cli
+from stoimenow import enumeration, series, verify
 from stoimenow.cli import main
 
 
@@ -62,22 +63,49 @@ def test_pattern_free_count_workers_byte_identical(capsys):
     assert one.splitlines()[-1] == ",9,31240"
 
 
-def test_walking_commands_refuse_sizes_past_their_limit(capsys):
+def _forbid_walks(monkeypatch):
+    def no_walk(n):
+        raise AssertionError(f"walked M_{n}")
+
+    monkeypatch.setattr(enumeration, "completions", no_walk)
+
+
+def test_walking_commands_refuse_sizes_past_their_limit(capsys, monkeypatch):
+    _forbid_walks(monkeypatch)  # each refusal comes before the first walk
     for argv in (
         ["gen", "--n", "12"],
         ["count", "--n", "12", "--avoid", "P1"],
         ["count", "--n-max", "12", "--avoid", "P1"],
         ["table", "--n-max", "12"],
     ):
+        start = time.perf_counter()
         code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5, argv
         assert code == 2, argv
         assert out == ""
         assert "at most 11" in err
+    for argv in (
+        ["gen", "--n", "-1"],
+        ["gen", "--n", "15"],
+        ["count", "--n", "15"],
+        ["count", "--n-max", "15"],
+        ["count", "--n-max", "0"],
+        ["table", "--n-max", "0"],
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5, argv
+        assert code == 2, argv
+        assert out == ""
+        assert "error" in err
 
 
 @pytest.mark.parametrize("suite", ["omega", "bijections", "all"])
-def test_walking_check_suites_refuse_n_max_past_8(capsys, suite):
+def test_walking_check_suites_refuse_n_max_past_8(capsys, monkeypatch, suite):
+    _forbid_walks(monkeypatch)
+    start = time.perf_counter()
     code, out, err = run(capsys, "check", "--suite", suite, "--n-max", "9")
+    assert time.perf_counter() - start < 0.5
     assert code == 2
     assert out == ""
     assert f"--n-max must be at most 8 for check --suite {suite}" in err
@@ -132,6 +160,19 @@ def test_series_bfile(capsys):
         "--with-zero",
     )
     assert out == "0 1\n1 1\n2 2\n3 5\n4 13\n"
+
+
+def test_atlas_literals_are_named_like_the_atlas(capsys):
+    p1 = "(1,3)(2,7)(4,5)(6,8)"
+    assert run(capsys, "series", "--name", f"{p1},P2", "--order", "8") == run(
+        capsys, "series", "--name", "P1,P2", "--order", "8"
+    )
+    literal = run(capsys, "table", "--n-max", "4", "--rows", f"{p1},P2")
+    assert literal[0] == 0
+    assert literal == run(capsys, "table", "--n-max", "4", "--rows", "P1,P2")
+    code, out, _ = run(capsys, "count", "--n-max", "3", "--avoid", "(1,3)(2,5)(4,6)")
+    assert code == 0
+    assert out == "patterns,n,count\nR3,1,1\nR3,2,2\nR3,3,4\n"
 
 
 def test_series_usage_errors(capsys):
@@ -273,7 +314,8 @@ def test_biject_splits_an_all_crossing_input_at_the_limit(capsys):
     assert out == f"{crossing(n - 1)} | ∅\n"
 
 
-def test_bounds_rejected(capsys):
+def test_bounds_rejected(capsys, monkeypatch):
+    _forbid_walks(monkeypatch)
     code, _, err = run(capsys, "gen", "--n", "15")
     assert code == 2
     code, _, err = run(capsys, "series", "--name", "R3", "--order", "65")
@@ -309,6 +351,21 @@ def test_readme_cli_examples_run(capsys):
     for line in examples:
         assert main(shlex.split(line, comments=True)[1:]) == 0, line
         capsys.readouterr()
+
+
+def test_readme_limits_quote_every_cap():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    notes = readme[readme.index("* Size limits."):]
+    for module, name in (
+        (enumeration, "MAX_ARCS"),
+        (enumeration, "MAX_WALK_ARCS"),
+        (verify, "MAX_CHECK_WALK_ARCS"),
+        (cli, "MAX_ORDER"),
+        (series, "MAX_DEGREE"),
+        (cli, "MAX_BIJECT_ARCS"),
+    ):
+        quoted = f"`{module.__name__.rsplit('.', 1)[1]}.{name} = {getattr(module, name)}`"
+        assert quoted in " ".join(notes.split()), quoted
 
 
 def test_readme_library_tour_runs():

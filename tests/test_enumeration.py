@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,8 @@ from stoimenow import (
     parse_pattern_set,
     registry,
 )
+from stoimenow import enumeration
+from stoimenow.enumeration import MAX_ARCS, MAX_WALK_ARCS
 
 from util import naive_contains, recursive_completions
 
@@ -71,13 +74,35 @@ def test_fishburn_oracle_values():
         fishburn_oracle(-1)
 
 
-def test_size_guard():
+def test_size_guard(monkeypatch):
+    def no_walk(n):
+        raise AssertionError(f"walked M_{n}")
+
+    # Each refusal comes before the first walk, and pattern-free counts never walk.
+    monkeypatch.setattr(enumeration, "completions", no_walk)
     with pytest.raises(ValueError):
         list(enumerate_stoimenow(15))
     with pytest.raises(ValueError):
         count_stoimenow(15)
     with pytest.raises(ValueError):
         enumerate_stoimenow(-1)
+    p1 = parse_pattern_set("P1")
+    for refuse in (
+        lambda: enumerate_stoimenow(MAX_WALK_ARCS + 1),
+        lambda: count_avoiders(MAX_WALK_ARCS + 1, p1),
+        lambda: count_table([p1], MAX_WALK_ARCS + 1),
+        lambda: count_avoiders(MAX_ARCS + 1, PatternSet.of()),
+        lambda: count_table([PatternSet.of()], MAX_ARCS + 1),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            refuse()
+        assert time.perf_counter() - start < 0.5
+    # Pattern-free counts are not walked, so they keep the counter's cap.
+    assert count_avoiders(MAX_ARCS, PatternSet.of()) == fishburn_oracle(MAX_ARCS)
+    assert count_table([PatternSet.of()], MAX_ARCS).rows[0][1] == tuple(
+        fishburn_oracle(n) for n in range(1, MAX_ARCS + 1)
+    )
 
 
 def test_count_avoiders_examples():

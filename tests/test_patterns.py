@@ -130,9 +130,13 @@ def test_parse_pattern_set():
     ps = parse_pattern_set("P1,P3")
     assert ps.name == "P1,P3"
     assert len(ps) == 2
-    custom = parse_pattern_set("P2,(1,3)(2,5)(4,6)")
+    custom = parse_pattern_set("P2,(1,4)(2,5)(3,6)")
     assert len(custom) == 2
-    assert custom.name == "(1,3)(2,5)(4,6),P2"
+    assert custom.name == "(1,4)(2,5)(3,6),P2"
+    # a literal spelling an atlas template takes the atlas name
+    assert parse_pattern_set("P2,(1,3)(2,5)(4,6)").name == "P2,R3"
+    assert parse_pattern_set("(1,3)(2,7)(4,5)(6,8),P2").name == "P1,P2"
+    assert parse_pattern_set("(1,3)(2,7)(4,5)(6,8),P2") == parse_pattern_set("P1,P2")
     assert parse_pattern_set("P3,P1").name == "P1,P3"
     assert parse_pattern_set("P1,P1").name == "P1"
     assert parse_pattern_set("").name == ""
