@@ -72,7 +72,11 @@ def cmd_count(args) -> int:
     if (args.n is None) == (args.n_max is None):
         raise ValueError("count needs exactly one of --n and --n-max")
     if args.n is not None:
-        print(count_avoiders(args.n, patterns))
+        count = count_avoiders(args.n, patterns)
+        if args.format == "json":
+            print(json.dumps({"patterns": patterns.name, "n": args.n, "count": count}))
+        else:
+            print(count)
         return 0
     table = count_table([patterns], args.n_max)
     if args.format == "json":

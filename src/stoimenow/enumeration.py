@@ -21,13 +21,18 @@ holds (site, open openers, opener closed at site-1), and a partner array
 indexed by site records the current path, so a leaf is read off the
 array.
 
-Counting never visits the leaves.  The number of ways to finish a
+Two counters never visit the leaves.  The number of ways to finish a
 partial matching depends only on a compressed state (a generating-tree,
 or transfer-matrix, count): the sites left, the arcs still to open, one
 bit per open arc telling whether site o-1 opened an arc that is still
 open, the index of the first open arc the last closer allows, and
-whether the previous site was an opener.  A memo over that state makes
-the count of M_14 take 8,823 states.
+whether the previous site was an opener.  `count_stoimenow` memoises
+over that state, and the count of M_14 takes 8,823 states.
+`count_avoiders` adds to it the set of partial pattern occurrences the
+prefix holds (the method of Bloom and Elizalde, "Pattern avoidance in
+matchings and partitions", 2013) and counts avoiders layer by layer.
+`count_table` with a pattern still walks every matching and tests it
+with `contains`.
 """
 
 from __future__ import annotations
@@ -45,8 +50,11 @@ from .patterns import Pattern, PatternSet, contains
 
 # Cap of the compressed counter, which visits no matching.
 MAX_ARCS = 14
-# Anything that visits every matching (generation, and counts with a
-# pattern) refuses larger n: M_11 already holds 1,420,053 matchings, and
+# Cap of the avoidance counter: its worst atlas set, P1..P5, takes 8-10 s
+# and 200 MiB at n = 11 on a 2-core host, about four times n = 10.
+MAX_AVOID_ARCS = 11
+# Anything that visits every matching (generation, and `count_table` with
+# a pattern) refuses larger n: M_11 already holds 1,420,053 matchings, and
 # M_12 is 7.6 times as many.
 MAX_WALK_ARCS = 11
 
@@ -77,18 +85,20 @@ def completions(n: int) -> Iterator[Matching]:
             stack.append((site + 1, opens[:idx] + opens[idx + 1 :], o))
 
 
-def _check_size(n: int, walks: bool) -> None:
+_WALK = "a walk over every matching"
+
+
+def _check_size(n: int, cap: int, method: str) -> None:
     """Refuse a negative n, or an n past the cap of the method that pays for it."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    cap, method = (MAX_WALK_ARCS, "a walk over every matching") if walks else (MAX_ARCS, "the counter")
     if n > cap:
         raise ValueError(f"n={n}: n must be at most {cap} for {method}")
 
 
 def enumerate_stoimenow(n: int) -> Iterator[Matching]:
     """Every Stoimenow matching with n arcs, exactly once, in deterministic order."""
-    _check_size(n, walks=True)
+    _check_size(n, MAX_WALK_ARCS, _WALK)
     return completions(n)
 
 
@@ -99,7 +109,7 @@ def count_stoimenow(n: int) -> int:
     because the arc opened at the site before it is still open; the open
     arcs number `sites_left - 2 * to_open`.  The memo lives for this call.
     """
-    _check_size(n, walks=False)
+    _check_size(n, MAX_ARCS, "the counter")
 
     @lru_cache(maxsize=None)
     def count(sites_left: int, to_open: int, blocked: int, first: int, after_opener: bool) -> int:
@@ -149,12 +159,101 @@ def fishburn_oracle(n: int) -> int:
 def count_avoiders(n: int, s: PatternSet) -> int:
     """|M_n(S)|: Stoimenow matchings of size n avoiding every pattern in s.
 
-    With no pattern the counter answers up to MAX_ARCS; otherwise every
-    matching is visited, so n is capped at MAX_WALK_ARCS.
+    With no pattern this is `count_stoimenow`.  Otherwise sites are filled
+    left to right, and a dict maps each state reached to its number of
+    prefixes; only two layers of sites are held at a time.  A state is
+    `count_stoimenow`'s compressed state plus the frozenset of partial
+    occurrences (pattern index, t, slots): the prefix matches the first t
+    letters of the pattern's endpoint word, and `slots` lists the open-arc
+    indices of the pattern arcs still open, in opener order.
+
+    * An opener keeps every occurrence, spawns a copy with t + 1 and the
+      new arc appended for each occurrence whose next letter is an
+      opener, and starts a fresh occurrence of every pattern.
+    * Closing open arc i advances an occurrence that uses i if its next
+      letter closes that very pattern arc, and drops it otherwise; a
+      finished occurrence kills the prefix.  Occurrences without i only
+      re-index their slots.
+    * An occurrence that needs more openers, or more letters, than
+      remain is dropped.
     """
     distinct = sorted(s.members, key=str)
-    _check_size(n, walks=bool(distinct))
-    return _tally(n, distinct, [(1 << len(distinct)) - 1])[0]
+    if not distinct:
+        return count_stoimenow(n)
+    _check_size(n, MAX_AVOID_ARCS, "the avoidance counter")
+    if min(p.size for p in distinct) == 0:
+        return 0  # every matching contains the empty pattern
+    words = [_endpoint_word(p.template) for p in distinct]
+    layer = {(n, 0, 0, False, frozenset()): 1}
+    for sites_left in range(2 * n, 0, -1):
+        rest_sites = sites_left - 1
+        nxt: dict[tuple, int] = {}
+        for (to_open, blocked, first, after_opener, occ), ways in layer.items():
+            open_arcs = sites_left - 2 * to_open
+            for i in range(first, open_arcs):
+                if blocked >> i & 1:
+                    continue
+                found = False
+                kept = []
+                for p, t, slots in occ:
+                    letters = words[p][0]
+                    if i in slots:
+                        j = slots.index(i)
+                        if letters[t] != j:
+                            continue
+                        t += 1
+                        if t == len(letters):
+                            found = True
+                            break
+                        slots = slots[:j] + tuple(x - 1 for x in slots[j + 1 :])
+                    elif len(letters) - t > rest_sites:
+                        continue
+                    elif slots and slots[-1] > i:
+                        slots = tuple(x - 1 if x > i else x for x in slots)
+                    kept.append((p, t, slots))
+                if found:
+                    continue
+                rest = (blocked >> (i + 1) & ~1) << i | blocked & ((1 << i) - 1)
+                key = (to_open, rest, i, False, frozenset(kept))
+                nxt[key] = nxt.get(key, 0) + ways
+            if to_open:
+                left_open = to_open - 1
+                kept = []
+                for p, t, slots in occ:
+                    letters, openers_left = words[p]
+                    if openers_left[t] <= left_open and len(letters) - t <= rest_sites:
+                        kept.append((p, t, slots))
+                    if letters[t] < 0:
+                        kept.append((p, t + 1, slots + (open_arcs,)))
+                for p, (letters, openers_left) in enumerate(words):
+                    if openers_left[1] <= left_open and len(letters) - 1 <= rest_sites:
+                        kept.append((p, 1, (open_arcs,)))
+                key = (left_open, blocked | after_opener << open_arcs, 0, True, frozenset(kept))
+                nxt[key] = nxt.get(key, 0) + ways
+        layer = nxt
+    return sum(layer.values())
+
+
+def _endpoint_word(template: Matching) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A pattern's endpoint word, read left to right, as two tables.
+
+    letters[t] is -1 when letter t is an opener; otherwise it is the
+    position, among the pattern arcs open before it, of the arc it closes.
+    openers_left[t] counts the openers among letters t and later.
+    """
+    arc_at = {p: a for a in template.arcs for p in (a.opener, a.closer)}
+    letters: list[int] = []
+    open_now: list[Arc] = []
+    for site in range(1, 2 * template.n + 1):
+        arc = arc_at[site]
+        if arc.opener == site:
+            letters.append(-1)
+            open_now.append(arc)
+        else:
+            letters.append(open_now.index(arc))
+            open_now.remove(arc)
+    openers_left = [letters[t:].count(-1) for t in range(len(letters) + 1)]
+    return tuple(letters), tuple(openers_left)
 
 
 @dataclass(frozen=True)
@@ -186,14 +285,12 @@ def _tally(n: int, distinct: Sequence[Pattern], row_masks: Sequence[int]) -> lis
     """Avoider counts in M_n for each row; row r forbids the patterns of
     `distinct` whose bits are set in row_masks[r].
 
-    Pattern-free counts are decided here and nowhere else: with no
-    patterns at all, every row is |M_n| from the compressed counter and no
-    matching is visited.  Otherwise each leaf keeps an `alive` bitmask of
-    the rows it still avoids.  A pattern is tested only while some alive
-    row forbids it, so a leaf's tests stop once no row is alive; a row
-    with no patterns never dies and counts every leaf.  Callers check n
-    with `_check_size(n, walks=bool(distinct))`, the cap of the method
-    this test picks.
+    With no patterns at all, every row is |M_n| from the compressed
+    counter and no matching is visited.  Otherwise each leaf keeps an
+    `alive` bitmask of the rows it still avoids.  A pattern is tested
+    only while some alive row forbids it, so a leaf's tests stop once no
+    row is alive; a row with no patterns never dies and counts every
+    leaf.  Callers check n against the cap of the method this test picks.
     """
     if not distinct:
         return [count_stoimenow(n)] * len(row_masks)
@@ -225,7 +322,10 @@ def count_table(rows: Sequence[PatternSet], n_max: int) -> CountTable:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     distinct = sorted({p for ps in rows for p in ps.members}, key=str)
-    _check_size(n_max, walks=bool(distinct))
+    if distinct:
+        _check_size(n_max, MAX_WALK_ARCS, _WALK)
+    else:
+        _check_size(n_max, MAX_ARCS, "the counter")
     bit = {p: i for i, p in enumerate(distinct)}
     row_masks = [sum(1 << bit[p] for p in ps.members) for ps in rows]
     per_n = [_tally(n, distinct, row_masks) for n in range(1, n_max + 1)]

@@ -47,6 +47,16 @@ def test_count(capsys):
     assert out == 'patterns,n,count\nP3,1,1\nP3,2,2\nP3,3,5\nP3,4,14\n'
 
 
+def test_count_one_size_as_json(capsys):
+    code, out, _ = run(capsys, "count", "--n", "5", "--avoid", "R4,P1", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"patterns": "P1,R4", "n": 5, "count": 11}
+    code, out, _ = run(capsys, "count", "--n", "5", "--avoid", "R4,P1", "--format", "csv")
+    assert out == "11\n"
+    code, out, _ = run(capsys, "count", "--n", "9", "--format", "json")
+    assert json.loads(out) == {"patterns": "", "n": 9, "count": 31240}
+
+
 def test_pattern_free_count_reaches_the_size_cap(capsys):
     code, out, _ = run(capsys, "count", "--n", "14")
     assert code == 0
@@ -358,6 +368,7 @@ def test_readme_limits_quote_every_cap():
     notes = readme[readme.index("* Size limits."):]
     for module, name in (
         (enumeration, "MAX_ARCS"),
+        (enumeration, "MAX_AVOID_ARCS"),
         (enumeration, "MAX_WALK_ARCS"),
         (verify, "MAX_CHECK_WALK_ARCS"),
         (cli, "MAX_ORDER"),

@@ -2,24 +2,28 @@ import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stoimenow import (
     EMPTY,
+    Pattern,
     PatternSet,
     count_avoiders,
     count_stoimenow,
     count_table,
     enumerate_stoimenow,
     fishburn_oracle,
+    gf_coefficients,
+    gf_registry,
     is_stoimenow,
     make_matching,
     parse_pattern_set,
     registry,
 )
 from stoimenow import enumeration
-from stoimenow.enumeration import MAX_ARCS, MAX_WALK_ARCS
+from stoimenow.enumeration import MAX_ARCS, MAX_AVOID_ARCS, MAX_WALK_ARCS, _tally
 
-from util import naive_contains, recursive_completions
+from util import all_matchings, naive_contains, recursive_completions
 
 # A022493 prefix, used as frozen cross-check data next to the two
 # independent computations (pruned generation and ascent sequences).
@@ -89,7 +93,7 @@ def test_size_guard(monkeypatch):
     p1 = parse_pattern_set("P1")
     for refuse in (
         lambda: enumerate_stoimenow(MAX_WALK_ARCS + 1),
-        lambda: count_avoiders(MAX_WALK_ARCS + 1, p1),
+        lambda: count_avoiders(MAX_AVOID_ARCS + 1, p1),
         lambda: count_table([p1], MAX_WALK_ARCS + 1),
         lambda: count_avoiders(MAX_ARCS + 1, PatternSet.of()),
         lambda: count_table([PatternSet.of()], MAX_ARCS + 1),
@@ -164,3 +168,46 @@ def test_count_table_rows_sharing_patterns_match_count_avoiders():
     table = count_table(power_set, 6)
     for ps, (_, counts) in zip(power_set, table.rows):
         assert counts == tuple(count_avoiders(n, ps) for n in range(1, 7)), ps.name
+
+
+def test_avoidance_counter_matches_the_walk():
+    atlas = sorted(registry().values(), key=str)
+    sets = [parse_pattern_set(name) for name in gf_registry()] + [PatternSet.of(p) for p in atlas]
+    masks = [sum(1 << atlas.index(p) for p in ps.members) for ps in sets]
+    for n in range(9):
+        walked = _tally(n, atlas, masks)
+        for ps, expected in zip(sets, walked):
+            assert count_avoiders(n, ps) == expected, (ps.name, n)
+
+
+def test_avoidance_counter_rejects_every_matching_for_the_empty_pattern():
+    empty = PatternSet.of(Pattern(EMPTY))
+    for n in range(4):
+        assert count_avoiders(n, empty) == 0 == _tally(n, [Pattern(EMPTY)], [1])[0]
+
+
+# every perfect matching with 1..4 arcs, Stoimenow or not
+pattern_templates = st.integers(1, 4).flatmap(lambda k: st.sampled_from(all_matchings(k)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(pattern_templates, min_size=1, max_size=4), st.integers(0, 6))
+def test_avoidance_counter_matches_naive_filtering(templates, n):
+    ps = PatternSet(frozenset(Pattern(t) for t in templates))
+    expected = sum(
+        1 for m in enumerate_stoimenow(n) if not any(naive_contains(m, p) for p in ps.members)
+    )
+    assert count_avoiders(n, ps) == expected
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [("P1,P3", 10), ("P1,P2,P4,P5", 10), ("P1,P3,P4,P5", 10), ("R3", 11), ("R4", 11), ("R5", 11)],
+)
+def test_avoidance_counter_matches_closed_forms_past_the_walk(monkeypatch, name, n):
+    def no_walk(n):
+        raise AssertionError(f"walked M_{n}")
+
+    monkeypatch.setattr(enumeration, "completions", no_walk)
+    expected = gf_coefficients(gf_registry()[name], n)[n]
+    assert count_avoiders(n, parse_pattern_set(name)) == expected

@@ -1,3 +1,4 @@
+import time
 from itertools import permutations
 
 import pytest
@@ -17,7 +18,7 @@ from stoimenow import (
 )
 from stoimenow.posets import poset_from_relations, poset_to_json
 from stoimenow.verify import omega_suite
-from util import brute_canonical_form
+from util import arrangements_canonical_form, brute_canonical_form
 
 
 def chain(n):
@@ -159,3 +160,14 @@ def test_canonical_form_classes_match_brute_force():
         form, brute = canonical_form(p), brute_canonical_form(p)
         assert brute_of.setdefault(form, brute) == brute
         assert form_of.setdefault(brute, form) == form
+
+
+def test_twin_classes_take_one_arrangement():
+    # arranging a class of twins differently never changes the relation list
+    family = [omega(m) for n in range(6) for m in enumerate_stoimenow(n)]
+    family += [p for n in range(5) for p in labelled_posets(n)]
+    for p in family:
+        assert canonical_form(p) == arrangements_canonical_form(p)
+    start = time.perf_counter()
+    assert canonical_form(antichain(9)) == ()
+    assert time.perf_counter() - start < 0.1

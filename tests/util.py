@@ -3,12 +3,12 @@
 These stay deliberately naive and independent of the library's pruned
 search paths: full enumeration of all perfect matchings, a template scan
 over arc pairs, unpruned subset enumeration for containment, per-term
-Fraction loops for the series kernels, and the all-permutations
-canonical form of a poset.
+Fraction loops for the series kernels, and the all-permutations and
+all-arrangements canonical forms of a poset.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, groupby, permutations, product
 
 from stoimenow import Matching, Pattern, Poset, PowerSeries, make_matching, standardize
 
@@ -130,6 +130,31 @@ def brute_canonical_form(p: Poset) -> tuple[tuple[int, int], ...]:
         rels = tuple(
             sorted(
                 (perm[i], perm[j])
+                for i in range(p.size)
+                for j in range(p.size)
+                if p.less[i][j]
+            )
+        )
+        if best is None or rels < best:
+            best = rels
+    return best
+
+
+def arrangements_canonical_form(p: Poset) -> tuple[tuple[int, int], ...]:
+    """Least sorted relation list over every labeling that keeps the
+    elements sorted by (down-set size, up-set size), largest first: every
+    arrangement of every class, twins included."""
+    down = [sum(p.less[i][j] for i in range(p.size)) for j in range(p.size)]
+    up = [sum(row) for row in p.less]
+    key = list(zip(down, up))
+    order = sorted(range(p.size), key=key.__getitem__, reverse=True)
+    classes = [tuple(block) for _, block in groupby(order, key=key.__getitem__)]
+    best = None
+    for arrangement in product(*(permutations(c) for c in classes)):
+        label = {e: position for position, e in enumerate(chain.from_iterable(arrangement))}
+        rels = tuple(
+            sorted(
+                (label[i], label[j])
                 for i in range(p.size)
                 for j in range(p.size)
                 if p.less[i][j]
