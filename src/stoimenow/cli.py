@@ -54,17 +54,16 @@ def _check_bounds(args) -> None:
 
 def cmd_gen(args) -> int:
     avoid = parse_pattern_set(args.avoid) if args.avoid else None
-    out = sys.stdout
-
-    def render(m) -> str:
-        if args.format == "json":
-            return json.dumps([[a.opener, a.closer] for a in m.arcs])
-        return format_arcs(m)
-
+    render = _json_arcs if args.format == "json" else format_arcs
+    write = sys.stdout.write
     for m in enumerate_stoimenow(args.n):
         if avoid is None or avoids_all(m, avoid):
-            out.write(render(m) + "\n")
+            write(render(m) + "\n")
     return 0
+
+
+def _json_arcs(m) -> str:
+    return json.dumps([[a.opener, a.closer] for a in m.arcs])
 
 
 def cmd_count(args) -> int:

@@ -17,9 +17,15 @@ Generation and counting both start at site 1 with no arc open; every
 walk covers all of M_n.
 
 `completions` is one iterative depth-first search.  Its explicit stack
-holds (site, open openers, opener closed at site-1), and a partner array
-indexed by site records the current path, so a leaf is read off the
-array.
+holds (site, open openers, opener closed at site-1, every opener on the
+path), and a partner array records the closer of each closed arc, so a
+leaf is n lookups.  Once the last opener is placed, the closing tail is
+forced: two consecutive closers must close arcs in increasing opener
+order (else they nest with adjacent closers), so the open arcs close in
+that order, and Type 1 cannot fire because every arc opened before the
+smallest one still open is closed.  The search writes that tail in one
+step: at n = 9 it pops 69,122 nodes for 31,240 leaves, where one node
+per closer would pop 239,490.
 
 Two counters never visit the leaves.  The number of ways to finish a
 partial matching depends only on a compressed state (a generating-tree,
@@ -31,8 +37,9 @@ over that state, and the count of M_14 takes 8,823 states.
 `count_avoiders` adds to it the set of partial pattern occurrences the
 prefix holds (the method of Bloom and Elizalde, "Pattern avoidance in
 matchings and partitions", 2013) and counts avoiders layer by layer.
-`count_table` with a pattern still walks every matching and tests it
-with `contains`.
+`count_table` takes pattern-free rows from one compressed-counter memo
+shared by every n, and with a pattern still walks every matching and
+tests it with `contains`.
 """
 
 from __future__ import annotations
@@ -53,6 +60,12 @@ MAX_ARCS = 14
 # Cap of the avoidance counter: its worst atlas set, P1..P5, takes 8-10 s
 # and 200 MiB at n = 11 on a 2-core host, about four times n = 10.
 MAX_AVOID_ARCS = 11
+# Cap of the states the avoidance counter holds at one site.  Every one of
+# the 255 sets of atlas patterns stays under it at n = 11; the largest,
+# P1,P2,P4, holds 21,397 states (about 9 s, 185 MiB).  It bounds states,
+# not their occurrence sets: a custom set whose states hold more partial
+# occurrences can run about 12 s before a layer passes it.
+MAX_AVOID_STATES = 22_000
 # Anything that visits every matching (generation, and `count_table` with
 # a pattern) refuses larger n: M_11 already holds 1,420,053 matchings, and
 # M_12 is 7.6 times as many.
@@ -60,29 +73,39 @@ MAX_WALK_ARCS = 11
 
 
 def completions(n: int) -> Iterator[Matching]:
-    """All Stoimenow matchings with n arcs, in the canonical order; n is not range-checked."""
+    """All Stoimenow matchings with n arcs, in the canonical order; n is not range-checked.
+
+    A stack entry is (site, open openers, opener closed at site-1, every
+    opener on the path); `partner[o]` holds the closer of each closed arc
+    o.  Once only closers remain, Type 2 forces them to close the open
+    arcs in increasing opener order, so that tail is written in one step
+    and the leaf is read off the path's openers.
+    """
     n2 = 2 * n
     # one Arc per (opener, closer), shared by every leaf that uses it
     arc = [[Arc(o, c) if o < c else None for c in range(n2 + 1)] for o in range(n2 + 1)]
     partner = [0] * (n2 + 1)
-    stack = [(1, (), 0)]
+    stack = [(1, (), 0, ())]
     while stack:
-        site, opens, last = stack.pop()
+        site, opens, last, openers = stack.pop()
         if last:
-            partner[last], partner[site - 1] = site - 1, last
-        if site > n2:
-            yield Matching(tuple([arc[o][c] for o, c in enumerate(partner) if o < c]))
+            partner[last] = site - 1
+        if site + len(opens) > n2:
+            # reached only through an opener branch, so no closer precedes the tail
+            for closer, o in enumerate(opens, site):
+                partner[o] = closer
+            yield Matching(tuple([arc[o][partner[o]] for o in openers]))
             continue
-        # pushed in reverse, so popped in the canonical order
-        if site + len(opens) < n2:
-            stack.append((site + 1, opens + (site,), 0))
+        # pushed in reverse, so popped in the canonical order; an opener
+        # always fits, since site + len(opens) is odd and so below 2n here
+        stack.append((site + 1, opens + (site,), 0, openers + (site,)))
         for idx in range(len(opens) - 1, -1, -1):
             o = opens[idx]
             if o < last:
                 break
             if idx and opens[idx - 1] == o - 1:
                 continue
-            stack.append((site + 1, opens[:idx] + opens[idx + 1 :], o))
+            stack.append((site + 1, opens[:idx] + opens[idx + 1 :], o, openers))
 
 
 _WALK = "a walk over every matching"
@@ -103,13 +126,19 @@ def enumerate_stoimenow(n: int) -> Iterator[Matching]:
 
 
 def count_stoimenow(n: int) -> int:
-    """|M_n| without materializing matchings.
+    """|M_n| without materializing matchings."""
+    _check_size(n, MAX_ARCS, "the counter")
+    return _stoimenow_counts([n])[0]
+
+
+def _stoimenow_counts(sizes: Sequence[int]) -> list[int]:
+    """|M_n| for each n in `sizes`, all from one memo that lives for this call.
 
     `blocked` has bit i set when open arc i (by opener) cannot close yet,
     because the arc opened at the site before it is still open; the open
-    arcs number `sites_left - 2 * to_open`.  The memo lives for this call.
+    arcs number `sites_left - 2 * to_open`.  No part of the state names n,
+    so the states of M_n are shared by every larger size.
     """
-    _check_size(n, MAX_ARCS, "the counter")
 
     @lru_cache(maxsize=None)
     def count(sites_left: int, to_open: int, blocked: int, first: int, after_opener: bool) -> int:
@@ -126,7 +155,7 @@ def count_stoimenow(n: int) -> int:
             total += count(sites_left - 1, to_open - 1, blocked | after_opener << open_arcs, 0, True)
         return total
 
-    result = count(2 * n, n, 0, 0, False)
+    result = [count(2 * n, n, 0, 0, False) for n in sizes]
     count.cache_clear()
     return result
 
@@ -230,6 +259,10 @@ def count_avoiders(n: int, s: PatternSet) -> int:
                         kept.append((p, 1, (open_arcs,)))
                 key = (left_open, blocked | after_opener << open_arcs, 0, True, frozenset(kept))
                 nxt[key] = nxt.get(key, 0) + ways
+        if len(nxt) > MAX_AVOID_STATES:
+            raise ValueError(
+                f"n={n}: the avoidance counter needs more than {MAX_AVOID_STATES} states at one site"
+            )
         layer = nxt
     return sum(layer.values())
 
@@ -282,18 +315,14 @@ class CountTable:
 
 
 def _tally(n: int, distinct: Sequence[Pattern], row_masks: Sequence[int]) -> list[int]:
-    """Avoider counts in M_n for each row; row r forbids the patterns of
-    `distinct` whose bits are set in row_masks[r].
+    """Avoider counts in M_n for each row, by walking M_n; row r forbids
+    the patterns of `distinct` whose bits are set in row_masks[r].
 
-    With no patterns at all, every row is |M_n| from the compressed
-    counter and no matching is visited.  Otherwise each leaf keeps an
-    `alive` bitmask of the rows it still avoids.  A pattern is tested
-    only while some alive row forbids it, so a leaf's tests stop once no
-    row is alive; a row with no patterns never dies and counts every
-    leaf.  Callers check n against the cap of the method this test picks.
+    Each leaf keeps an `alive` bitmask of the rows it still avoids.  A
+    pattern is tested only while some alive row forbids it, so a leaf's
+    tests stop once no row is alive; a row with no patterns never dies
+    and counts every leaf.  Callers check n against `MAX_WALK_ARCS`.
     """
-    if not distinct:
-        return [count_stoimenow(n)] * len(row_masks)
     rows_of = [
         sum(1 << r for r, mask in enumerate(row_masks) if mask >> bit & 1) for bit in range(len(distinct))
     ]
@@ -313,20 +342,23 @@ def _tally(n: int, distinct: Sequence[Pattern], row_masks: Sequence[int]) -> lis
 def count_table(rows: Sequence[PatternSet], n_max: int) -> CountTable:
     """Avoidance counts for every row and every n in 1..n_max.
 
-    One `_tally` call per n covers every row, each leaf being tested
-    against each distinct pattern at most once.  When no row has a
-    pattern, `_tally` takes every count from the compressed counter; a
-    pattern-free row beside rows with patterns is counted in the walk.
-    n_max is checked against the cap of that method before any n is counted.
+    When no row has a pattern, every count comes from the compressed
+    counter, one memo serving all n.  Otherwise one `_tally` walk per n
+    covers every row, each leaf being tested against each distinct
+    pattern at most once; a pattern-free row beside rows with patterns is
+    counted in the walk.  n_max is checked against the cap of that method
+    before any n is counted.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    sizes = range(1, n_max + 1)
     distinct = sorted({p for ps in rows for p in ps.members}, key=str)
-    if distinct:
-        _check_size(n_max, MAX_WALK_ARCS, _WALK)
-    else:
+    if not distinct:
         _check_size(n_max, MAX_ARCS, "the counter")
+        counts = tuple(_stoimenow_counts(sizes))
+        return CountTable(tuple((ps, counts) for ps in rows))
+    _check_size(n_max, MAX_WALK_ARCS, _WALK)
     bit = {p: i for i, p in enumerate(distinct)}
     row_masks = [sum(1 << bit[p] for p in ps.members) for ps in rows]
-    per_n = [_tally(n, distinct, row_masks) for n in range(1, n_max + 1)]
+    per_n = [_tally(n, distinct, row_masks) for n in sizes]
     return CountTable(tuple(zip(rows, zip(*per_n))))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 
@@ -30,6 +31,11 @@ class NoSuchArc(ValueError):
 class Arc:
     opener: int
     closer: int
+
+    @cached_property
+    def text(self) -> str:
+        """The arc as "(opener,closer)", built once per Arc; a walk shares its Arcs among leaves."""
+        return f"({self.opener},{self.closer})"
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,7 @@ def parse_arcs(text: str) -> Matching:
 
 def format_arcs(m: Matching) -> str:
     """Render in the arc-list format; the empty matching renders as ""."""
-    return "".join(f"({a.opener},{a.closer})" for a in m.arcs)
+    return "".join([a.text for a in m.arcs])
 
 
 def partners(m: Matching) -> list[int]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shlex
@@ -33,6 +34,23 @@ def test_gen_with_filter(capsys):
     assert len(out.splitlines()) == 42
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["--n", "9"], "62a8d95234dddb4d62130e76ed46acd66d19206922ceecaadf775bbceacde585"),
+        (
+            ["--n", "8", "--format", "json"],
+            "b665be1004e288a88c99e921439dcea3cf31cf2a55f37f9b6675c2425e82c418",
+        ),
+    ],
+)
+def test_gen_output_is_pinned_byte_for_byte(capsys, args, digest):
+    # digests taken from the search that popped one node per closer
+    code, out, _ = run(capsys, "gen", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_gen_workers_identical(capsys):
     _, serial, _ = run(capsys, "gen", "--n", "5", "--workers", "1")
     _, parallel, _ = run(capsys, "gen", "--n", "5", "--workers", "4")
@@ -55,6 +73,14 @@ def test_count_one_size_as_json(capsys):
     assert out == "11\n"
     code, out, _ = run(capsys, "count", "--n", "9", "--format", "json")
     assert json.loads(out) == {"patterns": "", "n": 9, "count": 31240}
+
+
+def test_count_refuses_a_set_past_the_state_budget(capsys, monkeypatch):
+    monkeypatch.setattr(enumeration, "MAX_AVOID_STATES", 30)
+    code, out, err = run(capsys, "count", "--n", "6", "--avoid", "P1")
+    assert code == 2
+    assert out == ""
+    assert "more than 30 states" in err
 
 
 def test_pattern_free_count_reaches_the_size_cap(capsys):
@@ -369,6 +395,7 @@ def test_readme_limits_quote_every_cap():
     for module, name in (
         (enumeration, "MAX_ARCS"),
         (enumeration, "MAX_AVOID_ARCS"),
+        (enumeration, "MAX_AVOID_STATES"),
         (enumeration, "MAX_WALK_ARCS"),
         (verify, "MAX_CHECK_WALK_ARCS"),
         (cli, "MAX_ORDER"),

@@ -60,7 +60,7 @@ def _pairs(matchings):
 
 
 def test_emission_order_matches_recursive_reference():
-    for n in range(8):
+    for n in range(10):
         assert _pairs(enumerate_stoimenow(n)) == list(recursive_completions(n)), n
 
 
@@ -107,6 +107,19 @@ def test_size_guard(monkeypatch):
     assert count_table([PatternSet.of()], MAX_ARCS).rows[0][1] == tuple(
         fishburn_oracle(n) for n in range(1, MAX_ARCS + 1)
     )
+
+
+def test_avoidance_counter_refuses_a_layer_past_the_state_budget(monkeypatch):
+    p1 = parse_pattern_set("P1")
+    # P1's largest layer at n = 6 holds 39 states
+    monkeypatch.setattr(enumeration, "MAX_AVOID_STATES", 39)
+    assert count_avoiders(6, p1) == 132
+    monkeypatch.setattr(enumeration, "MAX_AVOID_STATES", 38)
+    with pytest.raises(ValueError, match="more than 38 states"):
+        count_avoiders(6, p1)
+    # the pattern-free counter holds no layers and ignores the budget
+    monkeypatch.setattr(enumeration, "MAX_AVOID_STATES", 0)
+    assert count_avoiders(6, PatternSet.of()) == FISHBURN[6]
 
 
 def test_count_avoiders_examples():
