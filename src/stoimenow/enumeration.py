@@ -27,19 +27,20 @@ smallest one still open is closed.  The search writes that tail in one
 step: at n = 9 it pops 69,122 nodes for 31,240 leaves, where one node
 per closer would pop 239,490.
 
-Two counters never visit the leaves.  The number of ways to finish a
+One counter never visits the leaves.  The number of ways to finish a
 partial matching depends only on a compressed state (a generating-tree,
 or transfer-matrix, count): the sites left, the arcs still to open, one
 bit per open arc telling whether site o-1 opened an arc that is still
-open, the index of the first open arc the last closer allows, and
-whether the previous site was an opener.  `count_stoimenow` memoises
-over that state, and the count of M_14 takes 8,823 states.
-`count_avoiders` adds to it the set of partial pattern occurrences the
-prefix holds (the method of Bloom and Elizalde, "Pattern avoidance in
-matchings and partitions", 2013) and counts avoiders layer by layer.
-`count_table` takes pattern-free rows from one compressed-counter memo
-shared by every n, and with a pattern still walks every matching and
-tests it with `contains`.
+open, the index of the first open arc the last closer allows, whether
+the previous site was an opener, and the set of partial pattern
+occurrences the prefix holds (the method of Bloom and Elizalde, "Pattern
+avoidance in matchings and partitions", 2013), empty when no pattern is
+forbidden.  `_counts` fills the sites left to right, one layer of states
+at a time, and reads |M_m(S)| for every m <= n off the states with no arc
+open after site 2m; the largest pattern-free layer holds 1,561 states at
+n = 14.  `count_stoimenow`, `count_avoiders` and pattern-free
+`count_table` all take slices of that pass; `count_table` with a pattern
+still walks every matching and tests it with `contains`.
 """
 
 from __future__ import annotations
@@ -128,36 +129,7 @@ def enumerate_stoimenow(n: int) -> Iterator[Matching]:
 def count_stoimenow(n: int) -> int:
     """|M_n| without materializing matchings."""
     _check_size(n, MAX_ARCS, "the counter")
-    return _stoimenow_counts([n])[0]
-
-
-def _stoimenow_counts(sizes: Sequence[int]) -> list[int]:
-    """|M_n| for each n in `sizes`, all from one memo that lives for this call.
-
-    `blocked` has bit i set when open arc i (by opener) cannot close yet,
-    because the arc opened at the site before it is still open; the open
-    arcs number `sites_left - 2 * to_open`.  No part of the state names n,
-    so the states of M_n are shared by every larger size.
-    """
-
-    @lru_cache(maxsize=None)
-    def count(sites_left: int, to_open: int, blocked: int, first: int, after_opener: bool) -> int:
-        if sites_left == 0:
-            return 1
-        open_arcs = sites_left - 2 * to_open
-        total = 0
-        for i in range(first, open_arcs):
-            if not blocked >> i & 1:
-                # drop bit i; the arc after it is no longer blocked
-                rest = (blocked >> (i + 1) & ~1) << i | blocked & ((1 << i) - 1)
-                total += count(sites_left - 1, to_open, rest, i, False)
-        if to_open:
-            total += count(sites_left - 1, to_open - 1, blocked | after_opener << open_arcs, 0, True)
-        return total
-
-    result = [count(2 * n, n, 0, 0, False) for n in sizes]
-    count.cache_clear()
-    return result
+    return _counts(n, ())[n]
 
 
 def fishburn_oracle(n: int) -> int:
@@ -186,15 +158,32 @@ def fishburn_oracle(n: int) -> int:
 
 
 def count_avoiders(n: int, s: PatternSet) -> int:
-    """|M_n(S)|: Stoimenow matchings of size n avoiding every pattern in s.
+    """|M_n(S)|: Stoimenow matchings of size n avoiding every pattern in s."""
+    distinct = sorted(s.members, key=str)
+    if not distinct:
+        return count_stoimenow(n)
+    _check_size(n, MAX_AVOID_ARCS, "the avoidance counter")
+    if min(p.size for p in distinct) == 0:
+        return 0  # every matching contains the empty pattern
+    return _counts(n, [_endpoint_word(p.template) for p in distinct])[n]
 
-    With no pattern this is `count_stoimenow`.  Otherwise sites are filled
-    left to right, and a dict maps each state reached to its number of
-    prefixes; only two layers of sites are held at a time.  A state is
-    `count_stoimenow`'s compressed state plus the frozenset of partial
-    occurrences (pattern index, t, slots): the prefix matches the first t
-    letters of the pattern's endpoint word, and `slots` lists the open-arc
-    indices of the pattern arcs still open, in opener order.
+
+_NO_OCCURRENCES = frozenset()
+
+
+def _counts(n: int, words: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]) -> list[int]:
+    """|M_m(S)| for m = 0..n, where S is given by its patterns' `_endpoint_word`s.
+
+    Sites are filled left to right, and a dict maps each state reached to
+    its number of prefixes; only two layers of sites are held at a time.
+    A state is (arcs still to open, blocked, first, after_opener, partial
+    occurrences).  `blocked` has bit i set when open arc i (by opener)
+    cannot close yet, because the arc opened at the site before it is
+    still open; `first` is the first open arc the last closer allows; the
+    open arcs number sites_left - 2 * to_open.  A partial occurrence
+    (pattern index, t, slots) says the prefix matches the first t letters
+    of the pattern's endpoint word, and `slots` lists the open-arc indices
+    of the pattern arcs still open, in opener order.
 
     * An opener keeps every occurrence, spawns a copy with t + 1 and the
       new arc appended for each occurrence whose next letter is an
@@ -205,15 +194,17 @@ def count_avoiders(n: int, s: PatternSet) -> int:
       re-index their slots.
     * An occurrence that needs more openers, or more letters, than
       remain is dropped.
+
+    After site 2m, the states with no arc open hold exactly the prefixes
+    in M_m(S): Type 1 and Type 2 look only at adjacent sites, so such a
+    prefix is a matching of M_m; an occurrence that completes within it
+    killed it at that site; and the drops above remove only occurrences
+    that need more openers or sites than remain up to site 2n, so never
+    one that completes by site 2m.  With patterns, a layer past
+    `MAX_AVOID_STATES` states is refused.
     """
-    distinct = sorted(s.members, key=str)
-    if not distinct:
-        return count_stoimenow(n)
-    _check_size(n, MAX_AVOID_ARCS, "the avoidance counter")
-    if min(p.size for p in distinct) == 0:
-        return 0  # every matching contains the empty pattern
-    words = [_endpoint_word(p.template) for p in distinct]
-    layer = {(n, 0, 0, False, frozenset()): 1}
+    counts = [1]
+    layer = {(n, 0, 0, False, _NO_OCCURRENCES): 1}
     for sites_left in range(2 * n, 0, -1):
         rest_sites = sites_left - 1
         nxt: dict[tuple, int] = {}
@@ -222,49 +213,60 @@ def count_avoiders(n: int, s: PatternSet) -> int:
             for i in range(first, open_arcs):
                 if blocked >> i & 1:
                     continue
-                found = False
-                kept = []
-                for p, t, slots in occ:
-                    letters = words[p][0]
-                    if i in slots:
-                        j = slots.index(i)
-                        if letters[t] != j:
+                kept = occ
+                if occ:
+                    found = False
+                    advanced = []
+                    for p, t, slots in occ:
+                        letters = words[p][0]
+                        if i in slots:
+                            j = slots.index(i)
+                            if letters[t] != j:
+                                continue
+                            t += 1
+                            if t == len(letters):
+                                found = True
+                                break
+                            slots = slots[:j] + tuple(x - 1 for x in slots[j + 1 :])
+                        elif len(letters) - t > rest_sites:
                             continue
-                        t += 1
-                        if t == len(letters):
-                            found = True
-                            break
-                        slots = slots[:j] + tuple(x - 1 for x in slots[j + 1 :])
-                    elif len(letters) - t > rest_sites:
+                        elif slots and slots[-1] > i:
+                            slots = tuple(x - 1 if x > i else x for x in slots)
+                        advanced.append((p, t, slots))
+                    if found:
                         continue
-                    elif slots and slots[-1] > i:
-                        slots = tuple(x - 1 if x > i else x for x in slots)
-                    kept.append((p, t, slots))
-                if found:
-                    continue
+                    kept = frozenset(advanced)
+                # drop bit i; the arc after it is no longer blocked
                 rest = (blocked >> (i + 1) & ~1) << i | blocked & ((1 << i) - 1)
-                key = (to_open, rest, i, False, frozenset(kept))
+                key = (to_open, rest, i, False, kept)
                 nxt[key] = nxt.get(key, 0) + ways
             if to_open:
                 left_open = to_open - 1
-                kept = []
-                for p, t, slots in occ:
-                    letters, openers_left = words[p]
-                    if openers_left[t] <= left_open and len(letters) - t <= rest_sites:
-                        kept.append((p, t, slots))
-                    if letters[t] < 0:
-                        kept.append((p, t + 1, slots + (open_arcs,)))
-                for p, (letters, openers_left) in enumerate(words):
-                    if openers_left[1] <= left_open and len(letters) - 1 <= rest_sites:
-                        kept.append((p, 1, (open_arcs,)))
-                key = (left_open, blocked | after_opener << open_arcs, 0, True, frozenset(kept))
+                kept = _NO_OCCURRENCES
+                if words:
+                    spawned = []
+                    for p, t, slots in occ:
+                        letters, openers_left = words[p]
+                        if openers_left[t] <= left_open and len(letters) - t <= rest_sites:
+                            spawned.append((p, t, slots))
+                        if letters[t] < 0:
+                            spawned.append((p, t + 1, slots + (open_arcs,)))
+                    for p, (letters, openers_left) in enumerate(words):
+                        if openers_left[1] <= left_open and len(letters) - 1 <= rest_sites:
+                            spawned.append((p, 1, (open_arcs,)))
+                    if spawned:
+                        kept = frozenset(spawned)
+                key = (left_open, blocked | after_opener << open_arcs, 0, True, kept)
                 nxt[key] = nxt.get(key, 0) + ways
-        if len(nxt) > MAX_AVOID_STATES:
+        if words and len(nxt) > MAX_AVOID_STATES:
             raise ValueError(
                 f"n={n}: the avoidance counter needs more than {MAX_AVOID_STATES} states at one site"
             )
         layer = nxt
-    return sum(layer.values())
+        if rest_sites % 2 == 0:
+            # the states with no arc open: 2 * to_open == rest_sites
+            counts.append(sum(ways for key, ways in layer.items() if 2 * key[0] == rest_sites))
+    return counts
 
 
 def _endpoint_word(template: Matching) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -342,23 +344,22 @@ def _tally(n: int, distinct: Sequence[Pattern], row_masks: Sequence[int]) -> lis
 def count_table(rows: Sequence[PatternSet], n_max: int) -> CountTable:
     """Avoidance counts for every row and every n in 1..n_max.
 
-    When no row has a pattern, every count comes from the compressed
-    counter, one memo serving all n.  Otherwise one `_tally` walk per n
-    covers every row, each leaf being tested against each distinct
-    pattern at most once; a pattern-free row beside rows with patterns is
-    counted in the walk.  n_max is checked against the cap of that method
-    before any n is counted.
+    When no row has a pattern, every count comes from one `_counts` pass
+    at n_max, which reads off every smaller n on the way.  Otherwise one
+    `_tally` walk per n covers every row, each leaf being tested against
+    each distinct pattern at most once; a pattern-free row beside rows
+    with patterns is counted in the walk.  n_max is checked against the
+    cap of that method before any n is counted.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    sizes = range(1, n_max + 1)
     distinct = sorted({p for ps in rows for p in ps.members}, key=str)
     if not distinct:
         _check_size(n_max, MAX_ARCS, "the counter")
-        counts = tuple(_stoimenow_counts(sizes))
+        counts = tuple(_counts(n_max, ())[1:])
         return CountTable(tuple((ps, counts) for ps in rows))
     _check_size(n_max, MAX_WALK_ARCS, _WALK)
     bit = {p: i for i, p in enumerate(distinct)}
     row_masks = [sum(1 << bit[p] for p in ps.members) for ps in rows]
-    per_n = [_tally(n, distinct, row_masks) for n in sizes]
+    per_n = [_tally(n, distinct, row_masks) for n in range(1, n_max + 1)]
     return CountTable(tuple(zip(rows, zip(*per_n))))

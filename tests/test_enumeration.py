@@ -21,7 +21,7 @@ from stoimenow import (
     registry,
 )
 from stoimenow import enumeration
-from stoimenow.enumeration import MAX_ARCS, MAX_AVOID_ARCS, MAX_WALK_ARCS, _tally
+from stoimenow.enumeration import MAX_ARCS, MAX_AVOID_ARCS, MAX_WALK_ARCS, _counts, _endpoint_word, _tally
 
 from util import all_matchings, naive_contains, recursive_completions
 
@@ -117,7 +117,7 @@ def test_avoidance_counter_refuses_a_layer_past_the_state_budget(monkeypatch):
     monkeypatch.setattr(enumeration, "MAX_AVOID_STATES", 38)
     with pytest.raises(ValueError, match="more than 38 states"):
         count_avoiders(6, p1)
-    # the pattern-free counter holds no layers and ignores the budget
+    # the budget bounds only layers that hold pattern occurrences
     monkeypatch.setattr(enumeration, "MAX_AVOID_STATES", 0)
     assert count_avoiders(6, PatternSet.of()) == FISHBURN[6]
 
@@ -187,10 +187,14 @@ def test_avoidance_counter_matches_the_walk():
     atlas = sorted(registry().values(), key=str)
     sets = [parse_pattern_set(name) for name in gf_registry()] + [PatternSet.of(p) for p in atlas]
     masks = [sum(1 << atlas.index(p) for p in ps.members) for ps in sets]
+    walked = [_tally(n, atlas, masks) for n in range(9)]
     for n in range(9):
-        walked = _tally(n, atlas, masks)
-        for ps, expected in zip(sets, walked):
+        for ps, expected in zip(sets, walked[n]):
             assert count_avoiders(n, ps) == expected, (ps.name, n)
+    # one pass at n = 8 reads off the count of every smaller n
+    for ps, column in zip(sets, zip(*walked)):
+        words = [_endpoint_word(p.template) for p in sorted(ps.members, key=str)]
+        assert _counts(8, words) == list(column), ps.name
 
 
 def test_avoidance_counter_rejects_every_matching_for_the_empty_pattern():
