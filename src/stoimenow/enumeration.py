@@ -33,14 +33,16 @@ or transfer-matrix, count): the sites left, the arcs still to open, one
 bit per open arc telling whether site o-1 opened an arc that is still
 open, the index of the first open arc the last closer allows, whether
 the previous site was an opener, and the set of partial pattern
-occurrences the prefix holds (the method of Bloom and Elizalde, "Pattern
-avoidance in matchings and partitions", 2013), empty when no pattern is
-forbidden.  `_counts` fills the sites left to right, one layer of states
-at a time, and reads |M_m(S)| for every m <= n off the states with no arc
-open after site 2m; the largest pattern-free layer holds 1,561 states at
-n = 14.  `count_stoimenow`, `count_avoiders` and pattern-free
-`count_table` all take slices of that pass; `count_table` with a pattern
-still walks every matching and tests it with `contains`.
+occurrences the prefix holds, empty when no pattern is forbidden.  How
+an occurrence advances at an opener or a closer is decided in
+`patterns` (`_opened`, `_closed`), whose `contains` runs the same
+transitions over one matching.  `_counts` fills the sites left to
+right, one layer of states at a time, and reads |M_m(S)| for every
+m <= n off the states with no arc open after site 2m; the largest
+pattern-free layer holds 1,561 states at n = 14.  `count_stoimenow`,
+`count_avoiders` and pattern-free `count_table` all take slices of that
+pass; `count_table` with a pattern still walks every matching and tests
+it with `contains`.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .matching import Arc, Matching
-from .patterns import Pattern, PatternSet, contains
+from .patterns import _NO_OCCURRENCES, Pattern, PatternSet, _closed, _endpoint_word, _opened, contains
 
 # Cap of the compressed counter, which visits no matching.
 MAX_ARCS = 14
@@ -168,9 +170,6 @@ def count_avoiders(n: int, s: PatternSet) -> int:
     return _counts(n, [_endpoint_word(p.template) for p in distinct])[n]
 
 
-_NO_OCCURRENCES = frozenset()
-
-
 def _counts(n: int, words: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]) -> list[int]:
     """|M_m(S)| for m = 0..n, where S is given by its patterns' `_endpoint_word`s.
 
@@ -183,22 +182,15 @@ def _counts(n: int, words: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]) ->
     open arcs number sites_left - 2 * to_open.  A partial occurrence
     (pattern index, t, slots) says the prefix matches the first t letters
     of the pattern's endpoint word, and `slots` lists the open-arc indices
-    of the pattern arcs still open, in opener order.
-
-    * An opener keeps every occurrence, spawns a copy with t + 1 and the
-      new arc appended for each occurrence whose next letter is an
-      opener, and starts a fresh occurrence of every pattern.
-    * Closing open arc i advances an occurrence that uses i if its next
-      letter closes that very pattern arc, and drops it otherwise; a
-      finished occurrence kills the prefix.  Occurrences without i only
-      re-index their slots.
-    * An occurrence that needs more openers, or more letters, than
-      remain is dropped.
+    of the pattern arcs still open, in opener order.  An opener updates
+    the occurrences with `patterns._opened` and a closer with
+    `patterns._closed`, the transitions `contains` runs over one
+    matching; an occurrence that completes kills the prefix.
 
     After site 2m, the states with no arc open hold exactly the prefixes
     in M_m(S): Type 1 and Type 2 look only at adjacent sites, so such a
     prefix is a matching of M_m; an occurrence that completes within it
-    killed it at that site; and the drops above remove only occurrences
+    killed it at that site; and the transitions prune only occurrences
     that need more openers or sites than remain up to site 2n, so never
     one that completes by site 2m.  With patterns, a layer past
     `MAX_AVOID_STATES` states is refused.
@@ -213,49 +205,16 @@ def _counts(n: int, words: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]) ->
             for i in range(first, open_arcs):
                 if blocked >> i & 1:
                     continue
-                kept = occ
-                if occ:
-                    found = False
-                    advanced = []
-                    for p, t, slots in occ:
-                        letters = words[p][0]
-                        if i in slots:
-                            j = slots.index(i)
-                            if letters[t] != j:
-                                continue
-                            t += 1
-                            if t == len(letters):
-                                found = True
-                                break
-                            slots = slots[:j] + tuple(x - 1 for x in slots[j + 1 :])
-                        elif len(letters) - t > rest_sites:
-                            continue
-                        elif slots and slots[-1] > i:
-                            slots = tuple(x - 1 if x > i else x for x in slots)
-                        advanced.append((p, t, slots))
-                    if found:
-                        continue
-                    kept = frozenset(advanced)
+                kept = _closed(occ, words, i, rest_sites) if occ else occ
+                if kept is None:
+                    continue
                 # drop bit i; the arc after it is no longer blocked
                 rest = (blocked >> (i + 1) & ~1) << i | blocked & ((1 << i) - 1)
                 key = (to_open, rest, i, False, kept)
                 nxt[key] = nxt.get(key, 0) + ways
             if to_open:
                 left_open = to_open - 1
-                kept = _NO_OCCURRENCES
-                if words:
-                    spawned = []
-                    for p, t, slots in occ:
-                        letters, openers_left = words[p]
-                        if openers_left[t] <= left_open and len(letters) - t <= rest_sites:
-                            spawned.append((p, t, slots))
-                        if letters[t] < 0:
-                            spawned.append((p, t + 1, slots + (open_arcs,)))
-                    for p, (letters, openers_left) in enumerate(words):
-                        if openers_left[1] <= left_open and len(letters) - 1 <= rest_sites:
-                            spawned.append((p, 1, (open_arcs,)))
-                    if spawned:
-                        kept = frozenset(spawned)
+                kept = _opened(occ, words, open_arcs, left_open, rest_sites) if words else _NO_OCCURRENCES
                 key = (left_open, blocked | after_opener << open_arcs, 0, True, kept)
                 nxt[key] = nxt.get(key, 0) + ways
         if words and len(nxt) > MAX_AVOID_STATES:
@@ -267,28 +226,6 @@ def _counts(n: int, words: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]) ->
             # the states with no arc open: 2 * to_open == rest_sites
             counts.append(sum(ways for key, ways in layer.items() if 2 * key[0] == rest_sites))
     return counts
-
-
-def _endpoint_word(template: Matching) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """A pattern's endpoint word, read left to right, as two tables.
-
-    letters[t] is -1 when letter t is an opener; otherwise it is the
-    position, among the pattern arcs open before it, of the arc it closes.
-    openers_left[t] counts the openers among letters t and later.
-    """
-    arc_at = {p: a for a in template.arcs for p in (a.opener, a.closer)}
-    letters: list[int] = []
-    open_now: list[Arc] = []
-    for site in range(1, 2 * template.n + 1):
-        arc = arc_at[site]
-        if arc.opener == site:
-            letters.append(-1)
-            open_now.append(arc)
-        else:
-            letters.append(open_now.index(arc))
-            open_now.remove(arc)
-    openers_left = [letters[t:].count(-1) for t in range(len(letters) + 1)]
-    return tuple(letters), tuple(openers_left)
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,23 @@ A matching contains a pattern if some subset of its arcs, with endpoints
 relabeled by rank, equals the pattern's template.  The atlas ships the
 five four-arc Catalan patterns P1..P5 and the three three-arc patterns
 R3/R4/R5 (CLI-safe names for the superscripted length-3 patterns).
+
+Containment is one left-to-right scan of the matching's sites that
+carries the partial occurrences of the pattern's endpoint word: the
+prefix's chosen arcs whose endpoints, in site order, spell the word's
+first letters (the method of Bloom and Elizalde, "Pattern avoidance in
+matchings and partitions", 2013).  `_opened` and `_closed` are the two
+transitions of that scan, one per kind of site; the avoidance counter
+in `enumeration` runs the same two over every prefix at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
-from typing import Iterable
+from functools import cache
+from typing import Iterable, Sequence
 
-from .matching import Arc, Matching, format_arcs, make_matching, parse_arcs, reverse
+from .matching import Arc, Matching, format_arcs, make_matching, parse_arcs, partners, reverse
 
 
 @dataclass(frozen=True)
@@ -85,56 +93,131 @@ def reverse_pattern_set(s: PatternSet) -> PatternSet:
     return PatternSet(frozenset(reverse_pattern(p) for p in s.members))
 
 
-def _signature(arcs: tuple[Arc, ...]) -> tuple[tuple[int, int], ...]:
-    # Order type of an arc list given in opener order: endpoints replaced by rank.
-    points = sorted(p for a in arcs for p in (a.opener, a.closer))
-    rank = {p: i + 1 for i, p in enumerate(points)}
-    return tuple((rank[a.opener], rank[a.closer]) for a in arcs)
-
-
 def standardize(arcs: Iterable[Arc]) -> Pattern:
     """Relabel the endpoints of `arcs` by rank onto {1..2k}."""
-    ordered = tuple(sorted(arcs))
-    points = [p for a in ordered for p in (a.opener, a.closer)]
-    if len(set(points)) != len(points):
+    ordered = sorted(arcs)
+    points = sorted(p for a in ordered for p in (a.opener, a.closer))
+    rank = {p: i for i, p in enumerate(points, 1)}
+    if len(rank) != len(points):
         raise ValueError("arcs share an endpoint")
-    template = Matching(tuple(Arc(o, c) for o, c in _signature(ordered)))
+    template = Matching(tuple(Arc(rank[a.opener], rank[a.closer]) for a in ordered))
     return Pattern(template, _template_names().get(template))
 
 
-@lru_cache(maxsize=None)
-def _prefix_signatures(template: Matching) -> tuple[tuple[tuple[int, int], ...], ...]:
-    return tuple(_signature(template.arcs[: j + 1]) for j in range(template.n))
+# A pattern's endpoint word: (letters, openers_left), see `_endpoint_word`.
+_Word = tuple[tuple[int, ...], tuple[int, ...]]
+_NO_OCCURRENCES = frozenset()
+
+
+@cache
+def _endpoint_word(template: Matching) -> _Word:
+    """A pattern's endpoint word, read left to right, as two tables.
+
+    letters[t] is -1 when letter t is an opener; otherwise it is the
+    position, among the pattern arcs open before it, of the arc it closes.
+    openers_left[t] counts the openers among letters t and later.  Only
+    pattern templates come here, so the cache stays small.
+    """
+    arc_at = {p: a for a in template.arcs for p in (a.opener, a.closer)}
+    letters: list[int] = []
+    open_now: list[Arc] = []
+    for site in range(1, 2 * template.n + 1):
+        arc = arc_at[site]
+        if arc.opener == site:
+            letters.append(-1)
+            open_now.append(arc)
+        else:
+            letters.append(open_now.index(arc))
+            open_now.remove(arc)
+    openers_left = [letters[t:].count(-1) for t in range(len(letters) + 1)]
+    return tuple(letters), tuple(openers_left)
+
+
+def _opened(occ: frozenset, words: Sequence[_Word], new: int, left_open: int, rest_sites: int) -> frozenset:
+    """The partial occurrences after an arc opens as open arc `new`.
+
+    Every occurrence is kept (the new arc is skipped), a copy with t + 1
+    and the new arc appended is spawned for each occurrence whose next
+    letter is an opener, and a fresh occurrence of every pattern starts
+    at the new arc.  An occurrence that needs more openers than the
+    `left_open` still to come, or more letters than the `rest_sites`
+    sites after this one, is dropped.  Every pattern must have an arc.
+    """
+    spawned = []
+    for p, t, slots in occ:
+        letters, openers_left = words[p]
+        if openers_left[t] <= left_open and len(letters) - t <= rest_sites:
+            spawned.append((p, t, slots))
+        if letters[t] < 0:
+            spawned.append((p, t + 1, slots + (new,)))
+    for p, (letters, openers_left) in enumerate(words):
+        if openers_left[1] <= left_open and len(letters) - 1 <= rest_sites:
+            spawned.append((p, 1, (new,)))
+    return frozenset(spawned) if spawned else _NO_OCCURRENCES
+
+
+def _closed(occ: frozenset, words: Sequence[_Word], i: int, rest_sites: int) -> frozenset | None:
+    """The partial occurrences after open arc i closes, or None once one completes.
+
+    An occurrence that uses arc i advances if its next letter closes that
+    very pattern arc, and is dropped otherwise.  An occurrence without i
+    only re-indexes its slots, and is dropped if it needs more letters
+    than the `rest_sites` sites after this one.
+    """
+    advanced = []
+    for p, t, slots in occ:
+        letters = words[p][0]
+        if i in slots:
+            j = slots.index(i)
+            if letters[t] != j:
+                continue
+            t += 1
+            if t == len(letters):
+                return None
+            slots = slots[:j] + tuple(x - 1 for x in slots[j + 1 :])
+        elif len(letters) - t > rest_sites:
+            continue
+        elif slots and slots[-1] > i:
+            slots = tuple(x - 1 if x > i else x for x in slots)
+        advanced.append((p, t, slots))
+    return frozenset(advanced)
 
 
 def contains(m: Matching, p: Pattern) -> bool:
     """True iff some subset of m's arcs standardizes to p.
 
-    Arcs are selected depth-first in opener order; a partial selection is
-    abandoned as soon as its order type stops being a prefix of the
-    pattern's (the order type of the first j chosen arcs must equal the
-    order type of the pattern's first j arcs).
+    m's sites are read left to right, holding the set of partial
+    occurrences of p's endpoint word.  An opener feeds `_opened`, and the
+    closer of open arc i (the i-th open arc, by opener) feeds `_closed`;
+    the scan returns True at the first occurrence that completes.  A
+    site costs one step per occurrence held, and an occurrence holds at
+    most w open arcs, where w is the most arcs p has open at once (2 for
+    every atlas pattern), so an n-arc matching costs O(n^(w+1)) steps.
     """
     k = p.size
     if k == 0:
-        return True
+        return True  # `_opened` reads openers_left[1]
     if k > m.n:
         return False
-    prefixes = _prefix_signatures(p.template)
-    arcs = m.arcs
-    n = m.n
-
-    def extend(chosen: tuple[Arc, ...], start: int) -> bool:
-        j = len(chosen)
-        if j == k:
-            return True
-        for i in range(start, n - (k - j) + 1):
-            cand = chosen + (arcs[i],)
-            if _signature(cand) == prefixes[j] and extend(cand, i + 1):
-                return True
-        return False
-
-    return extend((), 0)
+    words = (_endpoint_word(p.template),)
+    mate = partners(m)
+    n2 = 2 * m.n
+    to_open = m.n
+    open_now: list[int] = []
+    occ = _NO_OCCURRENCES
+    for site in range(1, n2 + 1):
+        if mate[site] > site:
+            to_open -= 1
+            occ = _opened(occ, words, len(open_now), to_open, n2 - site)
+            open_now.append(site)
+        else:
+            i = open_now.index(mate[site])
+            del open_now[i]
+            if occ:
+                occ = _closed(occ, words, i, n2 - site)
+                if occ is None:
+                    return True
+    return False
 
 
 def avoids_all(m: Matching, s: PatternSet) -> bool:

@@ -81,11 +81,12 @@ def test_contains_matches_naive_oracle():
 
 
 def test_contains_on_general_matchings_too():
-    # the oracle comparison above only sees Stoimenow matchings
-    reg = registry()
+    # the oracle comparison above only sees Stoimenow matchings and atlas
+    # templates; here every template of 1-3 arcs, nested ones included
+    templates = list(registry().values()) + [Pattern(t) for k in (1, 2, 3) for t in all_matchings(k)]
     for n in range(5):
         for m in all_matchings(n):
-            for p in reg.values():
+            for p in templates:
                 assert contains(m, p) == naive_contains(m, p)
 
 
