@@ -36,13 +36,15 @@ the previous site was an opener, and the set of partial pattern
 occurrences the prefix holds, empty when no pattern is forbidden.  How
 an occurrence advances at an opener or a closer is decided in
 `patterns` (`_opened`, `_closed`), whose `contains` runs the same
-transitions over one matching.  `_counts` fills the sites left to
-right, one layer of states at a time, and reads |M_m(S)| for every
-m <= n off the states with no arc open after site 2m; the largest
-pattern-free layer holds 1,561 states at n = 14.  `count_stoimenow`,
-`count_avoiders` and pattern-free `count_table` all take slices of that
-pass; `count_table` with a pattern still walks every matching and tests
-it with `contains`.
+transitions over one matching.  One occurrence recurs in thousands of
+states, so `_counts` interns each occurrence it meets as an int and
+memoises its two transitions in tables that live for that call only.
+`_counts` fills the sites left to right, one layer of states at a time,
+and reads |M_m(S)| for every m <= n off the states with no arc open
+after site 2m; the largest pattern-free layer holds 1,182 states at
+n = 14.  `count_stoimenow`, `count_avoiders` and pattern-free
+`count_table` all take slices of that pass; `count_table` with a
+pattern still walks every matching and tests it with `contains`.
 """
 
 from __future__ import annotations
@@ -56,18 +58,20 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .matching import Arc, Matching
-from .patterns import _NO_OCCURRENCES, Pattern, PatternSet, _closed, _endpoint_word, _opened, contains
+from .patterns import Pattern, PatternSet, _Occurrence, _Word, _closed, _endpoint_word, _opened, contains
 
 # Cap of the compressed counter, which visits no matching.
 MAX_ARCS = 14
-# Cap of the avoidance counter: its worst atlas set, P1..P5, takes 8-10 s
-# and 200 MiB at n = 11 on a 2-core host, about four times n = 10.
+# Cap of the avoidance counter: each of the 255 sets of atlas patterns
+# takes at most about 1.4 s and 85 MiB at n = 11 on a 2-core host; the
+# worst at n = 12 take 4.5-7.6 s and up to 270 MiB, in layers past
+# MAX_AVOID_STATES.
 MAX_AVOID_ARCS = 11
 # Cap of the states the avoidance counter holds at one site.  Every one of
 # the 255 sets of atlas patterns stays under it at n = 11; the largest,
-# P1,P2,P4, holds 21,397 states (about 9 s, 185 MiB).  It bounds states,
-# not their occurrence sets: a custom set whose states hold more partial
-# occurrences can run about 12 s before a layer passes it.
+# P1,P2,P3,P4, holds 15,441 states (about 1.3 s, 76 MiB).  It bounds
+# states, not their occurrence sets: a custom set whose states hold more
+# partial occurrences costs more per state.
 MAX_AVOID_STATES = 22_000
 # Anything that visits every matching (generation, and `count_table` with
 # a pattern) refuses larger n: M_11 already holds 1,420,053 matchings, and
@@ -170,7 +174,83 @@ def count_avoiders(n: int, s: PatternSet) -> int:
     return _counts(n, [_endpoint_word(p.template) for p in distinct])[n]
 
 
-def _counts(n: int, words: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]) -> list[int]:
+_DROPPED, _COMPLETED = -1, -2
+
+
+class _Occurrences:
+    """The partial occurrences one `_counts` pass meets, interned as small ints.
+
+    An occurrence (pattern index, t, slots) gets its id when first met.
+    `openers_needed[o]` counts the openers occurrence o still needs;
+    `closed[o][i]` memoises `patterns._closed` at open arc i
+    and `opened[o][new]` `patterns._opened` at open arc `new`, each as an
+    id, `_DROPPED` or (closed only) `_COMPLETED`.  The tables live only
+    as long as the pass that made them, and hold no reference cycle.
+    """
+
+    def __init__(self, words: Sequence[_Word]) -> None:
+        self.words = words
+        self.ids: dict[tuple[int, int, tuple[int, ...]], int] = {}
+        self.occurrences: list[tuple[int, int, tuple[int, ...]]] = []
+        self.openers_needed: list[int] = []
+        self.closed: list[dict[int, int]] = []
+        self.opened: list[dict[int, int]] = []
+
+    def intern(self, p: int, step: _Occurrence | None) -> int:
+        """The id of pattern p's occurrence `step`, `_DROPPED` for None, or `_COMPLETED`."""
+        if step is None:
+            return _DROPPED
+        letters, openers_left = self.words[p]
+        t, slots = step
+        if t == len(letters):
+            return _COMPLETED
+        key = (p, t, slots)
+        o = self.ids.get(key)
+        if o is None:
+            o = self.ids[key] = len(self.occurrences)
+            self.occurrences.append(key)
+            self.openers_needed.append(openers_left[t])
+            self.closed.append({})
+            self.opened.append({})
+        return o
+
+    def _fill(self, table: list[dict[int, int]], transition, o: int, arc: int) -> int:
+        """Run `transition` on occurrence o at open arc `arc`, and memoise it in `table`."""
+        p, t, slots = self.occurrences[o]
+        step = table[o][arc] = self.intern(p, transition(self.words[p][0], t, slots, arc))
+        return step
+
+    def close(self, occ: frozenset[int], i: int) -> frozenset[int] | None:
+        """The occurrences after open arc i closes, or None once one completes."""
+        closed = self.closed
+        kept = []
+        for o in occ:
+            try:
+                o = closed[o][i]
+            except KeyError:
+                o = self._fill(closed, _closed, o, i)
+            if o >= 0:
+                kept.append(o)
+            elif o == _COMPLETED:
+                return None
+        return frozenset(kept)
+
+    def open(self, occ: frozenset[int], new: int, left_open: int) -> frozenset[int]:
+        """The occurrences after an arc opens as open arc `new`, given `left_open` openers to come."""
+        opened, openers_needed = self.opened, self.openers_needed
+        kept = [o for o in occ if openers_needed[o] <= left_open]
+        for o in occ:
+            try:
+                o = opened[o][new]
+            except KeyError:
+                o = self._fill(opened, _opened, o, new)
+            # an occurrence that fits still fits once it takes the new arc
+            if o >= 0:
+                kept.append(o)
+        return frozenset(kept)
+
+
+def _counts(n: int, words: Sequence[_Word]) -> list[int]:
     """|M_m(S)| for m = 0..n, where S is given by its patterns' `_endpoint_word`s.
 
     Sites are filled left to right, and a dict maps each state reached to
@@ -182,30 +262,45 @@ def _counts(n: int, words: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]) ->
     open arcs number sites_left - 2 * to_open.  A partial occurrence
     (pattern index, t, slots) says the prefix matches the first t letters
     of the pattern's endpoint word, and `slots` lists the open-arc indices
-    of the pattern arcs still open, in opener order.  An opener updates
-    the occurrences with `patterns._opened` and a closer with
-    `patterns._closed`, the transitions `contains` runs over one
-    matching; an occurrence that completes kills the prefix.
+    of the pattern arcs still open, in opener order; the empty occurrence
+    (t = 0) of each pattern is held too, and spawns a fresh one at each
+    opener.  Each occurrence is interned as an int for this call (see
+    `_Occurrences`), so a state holds a frozenset of ints, and an
+    occurrence runs `patterns._opened` or `patterns._closed`, the
+    transitions `contains` runs over one matching, once per open arc.  An
+    occurrence that completes kills the prefix.  At an opener, one that
+    needs more openers than remain is dropped, and no other prune is
+    needed: an occurrence needs 2 * openers_needed + len(slots) more
+    letters, and 2 * to_open + open arcs sites remain, so it never needs
+    more letters than sites remain; a closer changes neither
+    openers_needed nor to_open.
+
+    With no arc left to open only open arc 0 may close, and no dead state
+    is made: closing arc i > 0 makes every later closer pass arc 0 (Type
+    2), and with no opener left to reset that, arc 0 never closes.
 
     After site 2m, the states with no arc open hold exactly the prefixes
     in M_m(S): Type 1 and Type 2 look only at adjacent sites, so such a
     prefix is a matching of M_m; an occurrence that completes within it
-    killed it at that site; and the transitions prune only occurrences
-    that need more openers or sites than remain up to site 2n, so never
-    one that completes by site 2m.  With patterns, a layer past
-    `MAX_AVOID_STATES` states is refused.
+    killed it at that site; and the prune drops only occurrences that
+    cannot complete by site 2n, so never one that completes by site 2m.
+    With patterns, a layer past `MAX_AVOID_STATES` states is refused.
     """
+    table = _Occurrences(words)
+    # the empty occurrence of each pattern with at most n arcs
+    empty = [table.intern(p, (0, ())) for p in range(len(words))]
+    empty = frozenset(o for o in empty if table.openers_needed[o] <= n)
     counts = [1]
-    layer = {(n, 0, 0, False, _NO_OCCURRENCES): 1}
+    layer = {(n, 0, 0, False, empty): 1}
     for sites_left in range(2 * n, 0, -1):
         rest_sites = sites_left - 1
         nxt: dict[tuple, int] = {}
         for (to_open, blocked, first, after_opener, occ), ways in layer.items():
             open_arcs = sites_left - 2 * to_open
-            for i in range(first, open_arcs):
+            for i in range(first, open_arcs if to_open else 1):
                 if blocked >> i & 1:
                     continue
-                kept = _closed(occ, words, i, rest_sites) if occ else occ
+                kept = table.close(occ, i) if occ else occ
                 if kept is None:
                     continue
                 # drop bit i; the arc after it is no longer blocked
@@ -214,7 +309,7 @@ def _counts(n: int, words: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]) ->
                 nxt[key] = nxt.get(key, 0) + ways
             if to_open:
                 left_open = to_open - 1
-                kept = _opened(occ, words, open_arcs, left_open, rest_sites) if words else _NO_OCCURRENCES
+                kept = table.open(occ, open_arcs, left_open) if occ else occ
                 key = (left_open, blocked | after_opener << open_arcs, 0, True, kept)
                 nxt[key] = nxt.get(key, 0) + ways
         if words and len(nxt) > MAX_AVOID_STATES:

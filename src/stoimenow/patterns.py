@@ -10,15 +10,16 @@ carries the partial occurrences of the pattern's endpoint word: the
 prefix's chosen arcs whose endpoints, in site order, spell the word's
 first letters (the method of Bloom and Elizalde, "Pattern avoidance in
 matchings and partitions", 2013).  `_opened` and `_closed` are the two
-transitions of that scan, one per kind of site; the avoidance counter
-in `enumeration` runs the same two over every prefix at once.
+transitions of one occurrence, one per kind of site; the avoidance
+counter in `enumeration` runs the same two over every prefix at once,
+memoised per occurrence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .matching import Arc, Matching, format_arcs, make_matching, parse_arcs, partners, reverse
 
@@ -106,7 +107,6 @@ def standardize(arcs: Iterable[Arc]) -> Pattern:
 
 # A pattern's endpoint word: (letters, openers_left), see `_endpoint_word`.
 _Word = tuple[tuple[int, ...], tuple[int, ...]]
-_NO_OCCURRENCES = frozenset()
 
 
 @cache
@@ -133,90 +133,91 @@ def _endpoint_word(template: Matching) -> _Word:
     return tuple(letters), tuple(openers_left)
 
 
-def _opened(occ: frozenset, words: Sequence[_Word], new: int, left_open: int, rest_sites: int) -> frozenset:
-    """The partial occurrences after an arc opens as open arc `new`.
+# A partial occurrence of one pattern: (letters matched, open-arc indices
+# of its pattern arcs still open, in opener order).
+_Occurrence = tuple[int, tuple[int, ...]]
 
-    Every occurrence is kept (the new arc is skipped), a copy with t + 1
-    and the new arc appended is spawned for each occurrence whose next
-    letter is an opener, and a fresh occurrence of every pattern starts
-    at the new arc.  An occurrence that needs more openers than the
-    `left_open` still to come, or more letters than the `rest_sites`
-    sites after this one, is dropped.  Every pattern must have an arc.
+
+def _opened(letters: tuple[int, ...], t: int, slots: tuple[int, ...], new: int) -> _Occurrence | None:
+    """A partial occurrence (t, slots) extended by an arc that opens as open arc `new`.
+
+    That arc joins the occurrence if letter t is an opener, giving
+    (t + 1, slots + (new,)); otherwise None.  The occurrence that skips
+    the new arc stays as it is.  The empty occurrence (0, ()) spawns a
+    fresh one at every opener.
     """
-    spawned = []
-    for p, t, slots in occ:
-        letters, openers_left = words[p]
-        if openers_left[t] <= left_open and len(letters) - t <= rest_sites:
-            spawned.append((p, t, slots))
-        if letters[t] < 0:
-            spawned.append((p, t + 1, slots + (new,)))
-    for p, (letters, openers_left) in enumerate(words):
-        if openers_left[1] <= left_open and len(letters) - 1 <= rest_sites:
-            spawned.append((p, 1, (new,)))
-    return frozenset(spawned) if spawned else _NO_OCCURRENCES
+    return (t + 1, slots + (new,)) if letters[t] < 0 else None
 
 
-def _closed(occ: frozenset, words: Sequence[_Word], i: int, rest_sites: int) -> frozenset | None:
-    """The partial occurrences after open arc i closes, or None once one completes.
+def _closed(letters: tuple[int, ...], t: int, slots: tuple[int, ...], i: int) -> _Occurrence | None:
+    """A partial occurrence (t, slots) after open arc i closes, or None if it is dropped.
 
     An occurrence that uses arc i advances if its next letter closes that
-    very pattern arc, and is dropped otherwise.  An occurrence without i
-    only re-indexes its slots, and is dropped if it needs more letters
-    than the `rest_sites` sites after this one.
+    very pattern arc, and is dropped otherwise; it has completed once the
+    returned t reaches len(letters).  An occurrence without i only
+    re-indexes its slots.
     """
-    advanced = []
-    for p, t, slots in occ:
-        letters = words[p][0]
-        if i in slots:
-            j = slots.index(i)
-            if letters[t] != j:
-                continue
-            t += 1
-            if t == len(letters):
-                return None
-            slots = slots[:j] + tuple(x - 1 for x in slots[j + 1 :])
-        elif len(letters) - t > rest_sites:
-            continue
-        elif slots and slots[-1] > i:
-            slots = tuple(x - 1 if x > i else x for x in slots)
-        advanced.append((p, t, slots))
-    return frozenset(advanced)
+    if i in slots:
+        j = slots.index(i)
+        if letters[t] != j:
+            return None
+        return t + 1, slots[:j] + tuple(x - 1 for x in slots[j + 1 :])
+    if slots and slots[-1] > i:
+        return t, tuple(x - 1 if x > i else x for x in slots)
+    return t, slots
 
 
 def contains(m: Matching, p: Pattern) -> bool:
     """True iff some subset of m's arcs standardizes to p.
 
     m's sites are read left to right, holding the set of partial
-    occurrences of p's endpoint word.  An opener feeds `_opened`, and the
-    closer of open arc i (the i-th open arc, by opener) feeds `_closed`;
-    the scan returns True at the first occurrence that completes.  A
+    occurrences (t, slots) of p's endpoint word, the empty one (0, ())
+    included.  An opener feeds each of them to `_opened`, and the closer
+    of open arc i (the i-th open arc, by opener) to `_closed`; the scan
+    returns True at the first occurrence that completes.  After each
+    site, an occurrence that needs more openers or letters than remain
+    is dropped; an occurrence that fits still fits after it advances.  A
     site costs one step per occurrence held, and an occurrence holds at
     most w open arcs, where w is the most arcs p has open at once (2 for
     every atlas pattern), so an n-arc matching costs O(n^(w+1)) steps.
     """
     k = p.size
     if k == 0:
-        return True  # `_opened` reads openers_left[1]
+        return True
     if k > m.n:
         return False
-    words = (_endpoint_word(p.template),)
+    letters, openers_left = _endpoint_word(p.template)
+    size = len(letters)
     mate = partners(m)
     n2 = 2 * m.n
     to_open = m.n
     open_now: list[int] = []
-    occ = _NO_OCCURRENCES
+    occ = {(0, ())}
     for site in range(1, n2 + 1):
+        rest_sites = n2 - site
+        held = occ
+        occ = set()
         if mate[site] > site:
             to_open -= 1
-            occ = _opened(occ, words, len(open_now), to_open, n2 - site)
+            new = len(open_now)
             open_now.append(site)
+            for t, slots in held:
+                if openers_left[t] <= to_open and size - t <= rest_sites:
+                    occ.add((t, slots))
+                step = _opened(letters, t, slots, new)
+                if step is not None:
+                    occ.add(step)
         else:
             i = open_now.index(mate[site])
             del open_now[i]
-            if occ:
-                occ = _closed(occ, words, i, n2 - site)
-                if occ is None:
-                    return True
+            for t, slots in held:
+                step = _closed(letters, t, slots, i)
+                if step is not None:
+                    t = step[0]
+                    if t == size:
+                        return True
+                    if size - t <= rest_sites:
+                        occ.add(step)
     return False
 
 

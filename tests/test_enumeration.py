@@ -111,11 +111,11 @@ def test_size_guard(monkeypatch):
 
 def test_avoidance_counter_refuses_a_layer_past_the_state_budget(monkeypatch):
     p1 = parse_pattern_set("P1")
-    # P1's largest layer at n = 6 holds 39 states
-    monkeypatch.setattr(enumeration, "MAX_AVOID_STATES", 39)
+    # P1's largest layer at n = 6 holds 31 states
+    monkeypatch.setattr(enumeration, "MAX_AVOID_STATES", 31)
     assert count_avoiders(6, p1) == 132
-    monkeypatch.setattr(enumeration, "MAX_AVOID_STATES", 38)
-    with pytest.raises(ValueError, match="more than 38 states"):
+    monkeypatch.setattr(enumeration, "MAX_AVOID_STATES", 30)
+    with pytest.raises(ValueError, match="more than 30 states"):
         count_avoiders(6, p1)
     # the budget bounds only layers that hold pattern occurrences
     monkeypatch.setattr(enumeration, "MAX_AVOID_STATES", 0)
@@ -197,6 +197,17 @@ def test_avoidance_counter_matches_the_walk():
         assert _counts(8, words) == list(column), ps.name
 
 
+def test_avoidance_counter_matches_the_walk_for_every_set_of_atlas_patterns():
+    # one walk, one row per non-empty subset; a larger set shares the
+    # interned occurrences of its patterns within one pass
+    atlas = sorted(registry().values(), key=str)
+    masks = list(range(1, 1 << len(atlas)))
+    walked = [_tally(n, atlas, masks) for n in range(8)]
+    for mask, column in zip(masks, zip(*walked)):
+        words = [_endpoint_word(p.template) for bit, p in enumerate(atlas) if mask >> bit & 1]
+        assert _counts(7, words) == list(column), mask
+
+
 def test_avoidance_counter_rejects_every_matching_for_the_empty_pattern():
     empty = PatternSet.of(Pattern(EMPTY))
     for n in range(4):
@@ -219,7 +230,16 @@ def test_avoidance_counter_matches_naive_filtering(templates, n):
 
 @pytest.mark.parametrize(
     "name, n",
-    [("P1,P3", 10), ("P1,P2,P4,P5", 10), ("P1,P3,P4,P5", 10), ("R3", 11), ("R4", 11), ("R5", 11)],
+    [
+        ("P1,P3", 11),
+        ("P1,P2,P4", 11),
+        ("P1,P2,P4,P5", 11),
+        ("P1,P3,P4,P5", 11),
+        ("P1,P2,P3,P4,P5", 11),
+        ("R3", 11),
+        ("R4", 11),
+        ("R5", 11),
+    ],
 )
 def test_avoidance_counter_matches_closed_forms_past_the_walk(monkeypatch, name, n):
     def no_walk(n):
