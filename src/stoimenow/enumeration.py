@@ -33,18 +33,16 @@ or transfer-matrix, count): the sites left, the arcs still to open, one
 bit per open arc telling whether site o-1 opened an arc that is still
 open, the index of the first open arc the last closer allows, whether
 the previous site was an opener, and the set of partial pattern
-occurrences the prefix holds, empty when no pattern is forbidden.  How
-an occurrence advances at an opener or a closer is decided in
-`patterns` (`_opened`, `_closed`), whose `contains` runs the same
-transitions over one matching.  One occurrence recurs in thousands of
-states, so `_counts` interns each occurrence it meets as an int and
-memoises its two transitions in tables that live for that call only.
-`_counts` fills the sites left to right, one layer of states at a time,
-and reads |M_m(S)| for every m <= n off the states with no arc open
-after site 2m; the largest pattern-free layer holds 1,182 states at
-n = 14.  `count_stoimenow`, `count_avoiders` and pattern-free
-`count_table` all take slices of that pass; `count_table` with a
-pattern still walks every matching and tests it with `contains`.
+occurrences the prefix holds, empty when no pattern is forbidden.
+Those occurrences, and how each is started, stepped, pruned and
+completed, belong to `patterns`: `_counts` holds them as ids from one
+`patterns._Occurrences` table that lives for that call only.  `_counts`
+fills the sites left to right, one layer of states at a time, and reads
+|M_m(S)| for every m <= n off the states with no arc open after site
+2m; the largest pattern-free layer holds 1,182 states at n = 14.
+`count_stoimenow`, `count_avoiders` and pattern-free `count_table` all
+take slices of that pass; `count_table` with a pattern still walks
+every matching and tests it with `contains`.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .matching import Arc, Matching
-from .patterns import Pattern, PatternSet, _Occurrence, _Word, _closed, _endpoint_word, _opened, contains
+from .patterns import Pattern, PatternSet, _Occurrences, contains
 
 # Cap of the compressed counter, which visits no matching.
 MAX_ARCS = 14
@@ -165,93 +163,14 @@ def fishburn_oracle(n: int) -> int:
 
 def count_avoiders(n: int, s: PatternSet) -> int:
     """|M_n(S)|: Stoimenow matchings of size n avoiding every pattern in s."""
-    distinct = sorted(s.members, key=str)
-    if not distinct:
+    if not s.members:
         return count_stoimenow(n)
     _check_size(n, MAX_AVOID_ARCS, "the avoidance counter")
-    if min(p.size for p in distinct) == 0:
-        return 0  # every matching contains the empty pattern
-    return _counts(n, [_endpoint_word(p.template) for p in distinct])[n]
+    return _counts(n, sorted(s.members, key=str))[n]
 
 
-_DROPPED, _COMPLETED = -1, -2
-
-
-class _Occurrences:
-    """The partial occurrences one `_counts` pass meets, interned as small ints.
-
-    An occurrence (pattern index, t, slots) gets its id when first met.
-    `openers_needed[o]` counts the openers occurrence o still needs;
-    `closed[o][i]` memoises `patterns._closed` at open arc i
-    and `opened[o][new]` `patterns._opened` at open arc `new`, each as an
-    id, `_DROPPED` or (closed only) `_COMPLETED`.  The tables live only
-    as long as the pass that made them, and hold no reference cycle.
-    """
-
-    def __init__(self, words: Sequence[_Word]) -> None:
-        self.words = words
-        self.ids: dict[tuple[int, int, tuple[int, ...]], int] = {}
-        self.occurrences: list[tuple[int, int, tuple[int, ...]]] = []
-        self.openers_needed: list[int] = []
-        self.closed: list[dict[int, int]] = []
-        self.opened: list[dict[int, int]] = []
-
-    def intern(self, p: int, step: _Occurrence | None) -> int:
-        """The id of pattern p's occurrence `step`, `_DROPPED` for None, or `_COMPLETED`."""
-        if step is None:
-            return _DROPPED
-        letters, openers_left = self.words[p]
-        t, slots = step
-        if t == len(letters):
-            return _COMPLETED
-        key = (p, t, slots)
-        o = self.ids.get(key)
-        if o is None:
-            o = self.ids[key] = len(self.occurrences)
-            self.occurrences.append(key)
-            self.openers_needed.append(openers_left[t])
-            self.closed.append({})
-            self.opened.append({})
-        return o
-
-    def _fill(self, table: list[dict[int, int]], transition, o: int, arc: int) -> int:
-        """Run `transition` on occurrence o at open arc `arc`, and memoise it in `table`."""
-        p, t, slots = self.occurrences[o]
-        step = table[o][arc] = self.intern(p, transition(self.words[p][0], t, slots, arc))
-        return step
-
-    def close(self, occ: frozenset[int], i: int) -> frozenset[int] | None:
-        """The occurrences after open arc i closes, or None once one completes."""
-        closed = self.closed
-        kept = []
-        for o in occ:
-            try:
-                o = closed[o][i]
-            except KeyError:
-                o = self._fill(closed, _closed, o, i)
-            if o >= 0:
-                kept.append(o)
-            elif o == _COMPLETED:
-                return None
-        return frozenset(kept)
-
-    def open(self, occ: frozenset[int], new: int, left_open: int) -> frozenset[int]:
-        """The occurrences after an arc opens as open arc `new`, given `left_open` openers to come."""
-        opened, openers_needed = self.opened, self.openers_needed
-        kept = [o for o in occ if openers_needed[o] <= left_open]
-        for o in occ:
-            try:
-                o = opened[o][new]
-            except KeyError:
-                o = self._fill(opened, _opened, o, new)
-            # an occurrence that fits still fits once it takes the new arc
-            if o >= 0:
-                kept.append(o)
-        return frozenset(kept)
-
-
-def _counts(n: int, words: Sequence[_Word]) -> list[int]:
-    """|M_m(S)| for m = 0..n, where S is given by its patterns' `_endpoint_word`s.
+def _counts(n: int, patterns: Sequence[Pattern]) -> list[int]:
+    """|M_m(S)| for m = 0..n, where S is the set of `patterns`.
 
     Sites are filled left to right, and a dict maps each state reached to
     its number of prefixes; only two layers of sites are held at a time.
@@ -259,21 +178,13 @@ def _counts(n: int, words: Sequence[_Word]) -> list[int]:
     occurrences).  `blocked` has bit i set when open arc i (by opener)
     cannot close yet, because the arc opened at the site before it is
     still open; `first` is the first open arc the last closer allows; the
-    open arcs number sites_left - 2 * to_open.  A partial occurrence
-    (pattern index, t, slots) says the prefix matches the first t letters
-    of the pattern's endpoint word, and `slots` lists the open-arc indices
-    of the pattern arcs still open, in opener order; the empty occurrence
-    (t = 0) of each pattern is held too, and spawns a fresh one at each
-    opener.  Each occurrence is interned as an int for this call (see
-    `_Occurrences`), so a state holds a frozenset of ints, and an
-    occurrence runs `patterns._opened` or `patterns._closed`, the
-    transitions `contains` runs over one matching, once per open arc.  An
-    occurrence that completes kills the prefix.  At an opener, one that
-    needs more openers than remain is dropped, and no other prune is
-    needed: an occurrence needs 2 * openers_needed + len(slots) more
-    letters, and 2 * to_open + open arcs sites remain, so it never needs
-    more letters than sites remain; a closer changes neither
-    openers_needed nor to_open.
+    open arcs number sites_left - 2 * to_open.  The partial occurrences
+    are a frozenset of ids from one `patterns._Occurrences` table, made
+    for this call: the root holds its `start`, an opener steps them with
+    `open` and a closer with `close`, which returns None once an
+    occurrence completes and so kills the prefix.  With no pattern the
+    set stays empty, and no state calls the table.  Every count is 0 when
+    `start` is None (an empty template).
 
     With no arc left to open only open arc 0 may close, and no dead state
     is made: closing arc i > 0 makes every later closer pass arc 0 (Type
@@ -282,16 +193,15 @@ def _counts(n: int, words: Sequence[_Word]) -> list[int]:
     After site 2m, the states with no arc open hold exactly the prefixes
     in M_m(S): Type 1 and Type 2 look only at adjacent sites, so such a
     prefix is a matching of M_m; an occurrence that completes within it
-    killed it at that site; and the prune drops only occurrences that
+    killed it at that site; and the table drops only occurrences that
     cannot complete by site 2n, so never one that completes by site 2m.
     With patterns, a layer past `MAX_AVOID_STATES` states is refused.
     """
-    table = _Occurrences(words)
-    # the empty occurrence of each pattern with at most n arcs
-    empty = [table.intern(p, (0, ())) for p in range(len(words))]
-    empty = frozenset(o for o in empty if table.openers_needed[o] <= n)
+    table = _Occurrences(patterns, n)
+    if table.start is None:
+        return [0] * (n + 1)
     counts = [1]
-    layer = {(n, 0, 0, False, empty): 1}
+    layer = {(n, 0, 0, False, table.start): 1}
     for sites_left in range(2 * n, 0, -1):
         rest_sites = sites_left - 1
         nxt: dict[tuple, int] = {}
@@ -312,7 +222,7 @@ def _counts(n: int, words: Sequence[_Word]) -> list[int]:
                 kept = table.open(occ, open_arcs, left_open) if occ else occ
                 key = (left_open, blocked | after_opener << open_arcs, 0, True, kept)
                 nxt[key] = nxt.get(key, 0) + ways
-        if words and len(nxt) > MAX_AVOID_STATES:
+        if patterns and len(nxt) > MAX_AVOID_STATES:
             raise ValueError(
                 f"n={n}: the avoidance counter needs more than {MAX_AVOID_STATES} states at one site"
             )

@@ -10,16 +10,20 @@ carries the partial occurrences of the pattern's endpoint word: the
 prefix's chosen arcs whose endpoints, in site order, spell the word's
 first letters (the method of Bloom and Elizalde, "Pattern avoidance in
 matchings and partitions", 2013).  `_opened` and `_closed` are the two
-transitions of one occurrence, one per kind of site; the avoidance
+transitions of one occurrence, one per kind of site.  The avoidance
 counter in `enumeration` runs the same two over every prefix at once,
-memoised per occurrence.
+through an `_Occurrences` table: it builds the patterns' endpoint words
+and start set, interns each occurrence as an int for one pass, memoises
+its transitions, and drops those that cannot complete.  `contains` stays
+an unmemoised scan, because within one matching an occurrence seldom
+recurs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .matching import Arc, Matching, format_arcs, make_matching, parse_arcs, partners, reverse
 
@@ -219,6 +223,97 @@ def contains(m: Matching, p: Pattern) -> bool:
                     if size - t <= rest_sites:
                         occ.add(step)
     return False
+
+
+_DROPPED, _COMPLETED = -1, -2
+
+
+class _Occurrences:
+    """The partial occurrences of a set of patterns, interned as small ints.
+
+    The avoidance counter (`enumeration._counts`) makes one table per
+    pass; it runs `_opened` and `_closed`, the transitions `contains` runs
+    over one matching, over every prefix at once.  An occurrence (pattern
+    index, t, slots) gets its id when first met.  `start` holds the empty
+    occurrence of each pattern with at most n arcs, or is None when a
+    template is empty, since every matching contains the empty pattern.
+    `openers_needed[o]` counts the openers occurrence o still needs;
+    `closed[o][i]` memoises `_closed` at open arc i and `opened[o][new]`
+    `_opened` at open arc `new`, each as an id, `_DROPPED` or (closed
+    only) `_COMPLETED`.  The tables live only as long as the pass that
+    made them, and hold no reference cycle.
+    """
+
+    def __init__(self, patterns: Sequence[Pattern], n: int) -> None:
+        self.words = [_endpoint_word(p.template) for p in patterns]
+        self.ids: dict[tuple[int, int, tuple[int, ...]], int] = {}
+        self.occurrences: list[tuple[int, int, tuple[int, ...]]] = []
+        self.openers_needed: list[int] = []
+        self.closed: list[dict[int, int]] = []
+        self.opened: list[dict[int, int]] = []
+        start = [self.intern(i, (0, ())) for i, p in enumerate(patterns) if p.size <= n]
+        # an empty template completes at once: every matching contains it
+        self.start: frozenset[int] | None = None if _COMPLETED in start else frozenset(start)
+
+    def intern(self, p: int, step: _Occurrence | None) -> int:
+        """The id of pattern p's occurrence `step`, `_DROPPED` for None, or `_COMPLETED`."""
+        if step is None:
+            return _DROPPED
+        letters, openers_left = self.words[p]
+        t, slots = step
+        if t == len(letters):
+            return _COMPLETED
+        key = (p, t, slots)
+        o = self.ids.get(key)
+        if o is None:
+            o = self.ids[key] = len(self.occurrences)
+            self.occurrences.append(key)
+            self.openers_needed.append(openers_left[t])
+            self.closed.append({})
+            self.opened.append({})
+        return o
+
+    def _fill(self, table: list[dict[int, int]], transition, o: int, arc: int) -> int:
+        """Run `transition` on occurrence o at open arc `arc`, and memoise it in `table`."""
+        p, t, slots = self.occurrences[o]
+        step = table[o][arc] = self.intern(p, transition(self.words[p][0], t, slots, arc))
+        return step
+
+    def close(self, occ: frozenset[int], i: int) -> frozenset[int] | None:
+        """The occurrences after open arc i closes, or None once one completes."""
+        closed = self.closed
+        kept = []
+        for o in occ:
+            try:
+                o = closed[o][i]
+            except KeyError:
+                o = self._fill(closed, _closed, o, i)
+            if o >= 0:
+                kept.append(o)
+            elif o == _COMPLETED:
+                return None
+        return frozenset(kept)
+
+    def open(self, occ: frozenset[int], new: int, left_open: int) -> frozenset[int]:
+        """The occurrences after an arc opens as open arc `new`, given `left_open` openers to come.
+
+        One that skips the new arc is dropped if it needs more openers than
+        remain, and no other prune is needed: an occurrence needs
+        2 * openers_needed + len(slots) more letters, and 2 * openers to
+        come + open arcs sites remain, so it never needs more letters than
+        sites remain; a closer changes neither count.
+        """
+        opened, openers_needed = self.opened, self.openers_needed
+        kept = [o for o in occ if openers_needed[o] <= left_open]
+        for o in occ:
+            try:
+                o = opened[o][new]
+            except KeyError:
+                o = self._fill(opened, _opened, o, new)
+            # an occurrence that fits still fits once it takes the new arc
+            if o >= 0:
+                kept.append(o)
+        return frozenset(kept)
 
 
 def avoids_all(m: Matching, s: PatternSet) -> bool:

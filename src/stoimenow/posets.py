@@ -131,8 +131,8 @@ def canonical_form(p: Poset) -> tuple[tuple[int, int], ...]:
     antichain costs one labeling.  Classes of elements with equal set
     sizes but different sets still cost every arrangement: k disjoint
     2-element chains cost (k!)^2 labelings, about 2.3 s at k = 6 on a
-    2-core host.  `omega_suite` computes forms only up to its injectivity
-    cap of 6.
+    2-core host.  `omega_suite` computes forms only up to
+    `verify.OMEGA_INJECTIVITY_N_MAX` = 6 arcs.
     """
     n = p.size
     pairs = [(i, j) for i in range(n) for j in range(n) if p.less[i][j]]

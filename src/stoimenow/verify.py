@@ -255,14 +255,19 @@ def bijection_suite(total_size: int = 6, string_n_max: int = 6) -> list[CheckOut
     return outcomes
 
 
-def omega_suite(n_max: int = 6, injectivity_n_max: int | None = None) -> list[CheckOutcome]:
+# Injectivity of omega is checked through `canonical_form`, which can
+# cost (k!)^2 labelings (k disjoint 2-element chains take about 2.3 s at
+# k = 6 on a 2-core host), so it stops at 6 arcs.
+OMEGA_INJECTIVITY_N_MAX = 6
+
+
+def omega_suite(n_max: int = 6) -> list[CheckOutcome]:
     """Interval-order image, the two avoidance equivalences, and injectivity.
 
     One pass over M_n per n computes each `omega(m)` once; injectivity is
-    checked for n up to min(injectivity_n_max, n_max), by default
-    min(6, n_max).
+    checked for n up to min(n_max, OMEGA_INJECTIVITY_N_MAX).
     """
-    injective_to = min(n_max, 6 if injectivity_n_max is None else injectivity_n_max)
+    injective_to = min(n_max, OMEGA_INJECTIVITY_N_MAX)
     p1 = registry()["P1"]
     p2 = registry()["P2"]
     free_ok = True

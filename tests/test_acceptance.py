@@ -113,7 +113,7 @@ def test_criterion_6_bijection_round_trips():
 
 def test_criterion_7_omega_equivalences():
     start = time.time()
-    outcomes = omega_suite(n_max=7, injectivity_n_max=6)
+    outcomes = omega_suite(n_max=7)
     ok = all(o.passed for o in outcomes)
     _report(7, "poset-map equivalences n<=7, injective n<=6", ok, time.time() - start, 120)
 

@@ -1,4 +1,5 @@
 import time
+import weakref
 from itertools import combinations
 
 import pytest
@@ -21,7 +22,7 @@ from stoimenow import (
     registry,
 )
 from stoimenow import enumeration
-from stoimenow.enumeration import MAX_ARCS, MAX_AVOID_ARCS, MAX_WALK_ARCS, _counts, _endpoint_word, _tally
+from stoimenow.enumeration import MAX_ARCS, MAX_AVOID_ARCS, MAX_WALK_ARCS, _counts, _tally
 
 from util import all_matchings, naive_contains, recursive_completions
 
@@ -193,8 +194,7 @@ def test_avoidance_counter_matches_the_walk():
             assert count_avoiders(n, ps) == expected, (ps.name, n)
     # one pass at n = 8 reads off the count of every smaller n
     for ps, column in zip(sets, zip(*walked)):
-        words = [_endpoint_word(p.template) for p in sorted(ps.members, key=str)]
-        assert _counts(8, words) == list(column), ps.name
+        assert _counts(8, sorted(ps.members, key=str)) == list(column), ps.name
 
 
 def test_avoidance_counter_matches_the_walk_for_every_set_of_atlas_patterns():
@@ -204,14 +204,31 @@ def test_avoidance_counter_matches_the_walk_for_every_set_of_atlas_patterns():
     masks = list(range(1, 1 << len(atlas)))
     walked = [_tally(n, atlas, masks) for n in range(8)]
     for mask, column in zip(masks, zip(*walked)):
-        words = [_endpoint_word(p.template) for bit, p in enumerate(atlas) if mask >> bit & 1]
-        assert _counts(7, words) == list(column), mask
+        patterns = [p for bit, p in enumerate(atlas) if mask >> bit & 1]
+        assert _counts(7, patterns) == list(column), mask
 
 
 def test_avoidance_counter_rejects_every_matching_for_the_empty_pattern():
     empty = PatternSet.of(Pattern(EMPTY))
     for n in range(4):
         assert count_avoiders(n, empty) == 0 == _tally(n, [Pattern(EMPTY)], [1])[0]
+        # inside one pass too, alone or beside a pattern that has occurrences
+        assert _counts(n, [Pattern(EMPTY)]) == [0] * (n + 1)
+        assert _counts(n, [registry()["P1"], Pattern(EMPTY)]) == [0] * (n + 1)
+
+
+def test_occurrence_table_dies_with_its_call(monkeypatch):
+    # the table holds no reference cycle, so refcounting frees it at once
+    refs = []
+
+    class Recorded(enumeration._Occurrences):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(enumeration, "_Occurrences", Recorded)
+    assert count_avoiders(8, parse_pattern_set("P1,P3")) == gf_coefficients(gf_registry()["P1,P3"], 8)[8]
+    assert refs and all(ref() is None for ref in refs)
 
 
 # every perfect matching with 1..4 arcs, Stoimenow or not

@@ -68,7 +68,7 @@ def test_omega_images_pass_the_relation_checks():
 
 
 def test_omega_suite_caps_injectivity_at_n_max():
-    outcomes = omega_suite(3, injectivity_n_max=6)
+    outcomes = omega_suite(3)
     assert [o.line() for o in outcomes][-1] == "omega-injective: PASS (n <= 3)"
     assert all(o.passed for o in outcomes)
 
