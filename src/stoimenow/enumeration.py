@@ -43,6 +43,13 @@ fills the sites left to right, one layer of states at a time, and reads
 `count_stoimenow`, `count_avoiders` and pattern-free `count_table` all
 take slices of that pass; `count_table` with a pattern still walks
 every matching and tests it with `contains`.
+
+`_counts` alone bounds the counter, with two limits: n at most
+`MAX_ARCS`, and with patterns at most `MAX_HELD_OCCURRENCES` partial
+occurrences held by one layer.  The budget counts occurrences, not
+states, because a state's cost grows with the occurrences it holds: 20
+random four-arc templates hold far more per state than any set of atlas
+patterns.
 """
 
 from __future__ import annotations
@@ -58,19 +65,14 @@ from typing import Iterator, Sequence
 from .matching import Arc, Matching
 from .patterns import Pattern, PatternSet, _Occurrences, contains
 
-# Cap of the compressed counter, which visits no matching.
+# Cap of the counter, with or without patterns; it visits no matching.
 MAX_ARCS = 14
-# Cap of the avoidance counter: each of the 255 sets of atlas patterns
-# takes at most about 1.4 s and 85 MiB at n = 11 on a 2-core host; the
-# worst at n = 12 take 4.5-7.6 s and up to 270 MiB, in layers past
-# MAX_AVOID_STATES.
-MAX_AVOID_ARCS = 11
-# Cap of the states the avoidance counter holds at one site.  Every one of
-# the 255 sets of atlas patterns stays under it at n = 11; the largest,
-# P1,P2,P3,P4, holds 15,441 states (about 1.3 s, 76 MiB).  It bounds
-# states, not their occurrence sets: a custom set whose states hold more
-# partial occurrences costs more per state.
-MAX_AVOID_STATES = 22_000
+# Budget of the partial occurrences one layer of the counter may hold with
+# patterns (the sum over its states of their occurrence sets' sizes).
+# Every one of the 255 sets of atlas patterns peaks at 527,967 or fewer at
+# n = 11; past n = 11 it decides which sets are counted, and each call,
+# counted or refused, ends within about 3 s and 170 MiB on a 2-core host.
+MAX_HELD_OCCURRENCES = 1_000_000
 # Anything that visits every matching (generation, and `count_table` with
 # a pattern) refuses larger n: M_11 already holds 1,420,053 matchings, and
 # M_12 is 7.6 times as many.
@@ -132,7 +134,6 @@ def enumerate_stoimenow(n: int) -> Iterator[Matching]:
 
 def count_stoimenow(n: int) -> int:
     """|M_n| without materializing matchings."""
-    _check_size(n, MAX_ARCS, "the counter")
     return _counts(n, ())[n]
 
 
@@ -165,7 +166,6 @@ def count_avoiders(n: int, s: PatternSet) -> int:
     """|M_n(S)|: Stoimenow matchings of size n avoiding every pattern in s."""
     if not s.members:
         return count_stoimenow(n)
-    _check_size(n, MAX_AVOID_ARCS, "the avoidance counter")
     return _counts(n, sorted(s.members, key=str))[n]
 
 
@@ -173,7 +173,7 @@ def _counts(n: int, patterns: Sequence[Pattern]) -> list[int]:
     """|M_m(S)| for m = 0..n, where S is the set of `patterns`.
 
     Sites are filled left to right, and a dict maps each state reached to
-    its number of prefixes; only two layers of sites are held at a time.
+    its number of prefixes; a layer is emptied as the next one is built.
     A state is (arcs still to open, blocked, first, after_opener, partial
     occurrences).  `blocked` has bit i set when open arc i (by opener)
     cannot close yet, because the arc opened at the site before it is
@@ -195,8 +195,12 @@ def _counts(n: int, patterns: Sequence[Pattern]) -> list[int]:
     prefix is a matching of M_m; an occurrence that completes within it
     killed it at that site; and the table drops only occurrences that
     cannot complete by site 2n, so never one that completes by site 2m.
-    With patterns, a layer past `MAX_AVOID_STATES` states is refused.
+    n is checked against `MAX_ARCS` before the table or any layer is
+    built.  With patterns, a layer whose states hold more than
+    `MAX_HELD_OCCURRENCES` partial occurrences in all is refused; a
+    pattern-free layer holds none, so its sum is not taken.
     """
+    _check_size(n, MAX_ARCS, "the counter")
     table = _Occurrences(patterns, n)
     if table.start is None:
         return [0] * (n + 1)
@@ -205,7 +209,9 @@ def _counts(n: int, patterns: Sequence[Pattern]) -> list[int]:
     for sites_left in range(2 * n, 0, -1):
         rest_sites = sites_left - 1
         nxt: dict[tuple, int] = {}
-        for (to_open, blocked, first, after_opener, occ), ways in layer.items():
+        while layer:
+            # popped, so a state is freed once stepped and two full layers are never held
+            (to_open, blocked, first, after_opener, occ), ways = layer.popitem()
             open_arcs = sites_left - 2 * to_open
             for i in range(first, open_arcs if to_open else 1):
                 if blocked >> i & 1:
@@ -222,10 +228,8 @@ def _counts(n: int, patterns: Sequence[Pattern]) -> list[int]:
                 kept = table.open(occ, open_arcs, left_open) if occ else occ
                 key = (left_open, blocked | after_opener << open_arcs, 0, True, kept)
                 nxt[key] = nxt.get(key, 0) + ways
-        if patterns and len(nxt) > MAX_AVOID_STATES:
-            raise ValueError(
-                f"n={n}: the avoidance counter needs more than {MAX_AVOID_STATES} states at one site"
-            )
+        if patterns and sum(len(key[4]) for key in nxt) > MAX_HELD_OCCURRENCES:
+            raise ValueError(f"n={n}: more than {MAX_HELD_OCCURRENCES} partial occurrences at one site")
         layer = nxt
         if rest_sites % 2 == 0:
             # the states with no arc open: 2 * to_open == rest_sites
@@ -297,7 +301,6 @@ def count_table(rows: Sequence[PatternSet], n_max: int) -> CountTable:
         raise ValueError("n_max must be at least 1")
     distinct = sorted({p for ps in rows for p in ps.members}, key=str)
     if not distinct:
-        _check_size(n_max, MAX_ARCS, "the counter")
         counts = tuple(_counts(n_max, ())[1:])
         return CountTable(tuple((ps, counts) for ps in rows))
     _check_size(n_max, MAX_WALK_ARCS, _WALK)

@@ -241,15 +241,13 @@ class PowerSeries:
 
     @classmethod
     def constant(cls, value: Scalar, order: int) -> "PowerSeries":
+        if order < 0:
+            raise ValueError("order must be nonnegative")
         return cls((Fraction(value),) + (Fraction(0),) * order)
 
     @classmethod
     def monomial(cls, coeff: Scalar, power: int, order: int) -> "PowerSeries":
-        if power > order:
-            return cls.constant(0, order)
-        values = [Fraction(0)] * (order + 1)
-        values[power] = Fraction(coeff)
-        return cls(tuple(values))
+        return cls.constant(coeff, order).times_x(power)
 
     @classmethod
     def from_polynomial(cls, p: Polynomial, order: int) -> "PowerSeries":
@@ -267,10 +265,14 @@ class PowerSeries:
 
     def times_x(self, k: int = 1) -> "PowerSeries":
         """Multiply by x^k at fixed order (the top k coefficients fall off)."""
+        if k < 0:
+            raise ValueError("the power of x must be nonnegative")
         return PowerSeries(((Fraction(0),) * k + self.coeffs)[: self.order + 1])
 
     def over_x(self, k: int = 1) -> "PowerSeries":
         """Divide by x^k; the first k coefficients must vanish.  Order drops by k."""
+        if k < 0:
+            raise ValueError("the power of x must be nonnegative")
         if any(self.coeffs[:k]):
             raise DivByNonUnit(f"series is not divisible by x^{k}")
         if self.order < k:

@@ -75,12 +75,18 @@ def test_count_one_size_as_json(capsys):
     assert json.loads(out) == {"patterns": "", "n": 9, "count": 31240}
 
 
-def test_count_refuses_a_set_past_the_state_budget(capsys, monkeypatch):
-    monkeypatch.setattr(enumeration, "MAX_AVOID_STATES", 30)
+def test_count_refuses_a_set_past_the_occurrence_budget(capsys, monkeypatch):
+    monkeypatch.setattr(enumeration, "MAX_HELD_OCCURRENCES", 41)
     code, out, err = run(capsys, "count", "--n", "6", "--avoid", "P1")
     assert code == 2
     assert out == ""
-    assert "more than 30 states" in err
+    assert "more than 41 partial occurrences" in err
+    monkeypatch.undo()
+    # every atlas pattern at once passes the budget past the walk's cap
+    code, out, err = run(capsys, "count", "--n", "12", "--avoid", "P1,P2,P3,P4,P5")
+    assert code == 2
+    assert out == ""
+    assert f"more than {enumeration.MAX_HELD_OCCURRENCES} partial occurrences" in err
 
 
 def test_pattern_free_count_reaches_the_size_cap(capsys):
@@ -108,18 +114,23 @@ def _forbid_walks(monkeypatch):
 
 def test_walking_commands_refuse_sizes_past_their_limit(capsys, monkeypatch):
     _forbid_walks(monkeypatch)  # each refusal comes before the first walk
-    for argv in (
-        ["gen", "--n", "12"],
-        ["count", "--n", "12", "--avoid", "P1"],
-        ["count", "--n-max", "12", "--avoid", "P1"],
-        ["table", "--n-max", "12"],
+
+    def no_layer(*args):
+        raise AssertionError("built the counter's occurrence table")
+
+    monkeypatch.setattr(enumeration, "_Occurrences", no_layer)  # and before any layer
+    for argv, cap in (
+        (["gen", "--n", "12"], "at most 11"),
+        (["count", "--n", "15", "--avoid", "P1"], "at most 14"),
+        (["count", "--n-max", "12", "--avoid", "P1"], "at most 11"),
+        (["table", "--n-max", "12"], "at most 11"),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 0.5, argv
         assert code == 2, argv
         assert out == ""
-        assert "at most 11" in err
+        assert cap in err
     for argv in (
         ["gen", "--n", "-1"],
         ["gen", "--n", "15"],
@@ -394,8 +405,7 @@ def test_readme_limits_quote_every_cap():
     notes = readme[readme.index("* Size limits."):]
     for module, name in (
         (enumeration, "MAX_ARCS"),
-        (enumeration, "MAX_AVOID_ARCS"),
-        (enumeration, "MAX_AVOID_STATES"),
+        (enumeration, "MAX_HELD_OCCURRENCES"),
         (enumeration, "MAX_WALK_ARCS"),
         (verify, "MAX_CHECK_WALK_ARCS"),
         (cli, "MAX_ORDER"),

@@ -1,3 +1,4 @@
+import random
 import time
 import weakref
 from itertools import combinations
@@ -9,6 +10,7 @@ from stoimenow import (
     EMPTY,
     Pattern,
     PatternSet,
+    catalan_number,
     count_avoiders,
     count_stoimenow,
     count_table,
@@ -22,7 +24,7 @@ from stoimenow import (
     registry,
 )
 from stoimenow import enumeration
-from stoimenow.enumeration import MAX_ARCS, MAX_AVOID_ARCS, MAX_WALK_ARCS, _counts, _tally
+from stoimenow.enumeration import MAX_ARCS, MAX_WALK_ARCS, _counts, _tally
 
 from util import all_matchings, naive_contains, recursive_completions
 
@@ -83,6 +85,9 @@ def test_size_guard(monkeypatch):
     def no_walk(n):
         raise AssertionError(f"walked M_{n}")
 
+    def no_layer(*args):
+        raise AssertionError("built the counter's occurrence table")
+
     # Each refusal comes before the first walk, and pattern-free counts never walk.
     monkeypatch.setattr(enumeration, "completions", no_walk)
     with pytest.raises(ValueError):
@@ -92,17 +97,21 @@ def test_size_guard(monkeypatch):
     with pytest.raises(ValueError):
         enumerate_stoimenow(-1)
     p1 = parse_pattern_set("P1")
-    for refuse in (
-        lambda: enumerate_stoimenow(MAX_WALK_ARCS + 1),
-        lambda: count_avoiders(MAX_AVOID_ARCS + 1, p1),
-        lambda: count_table([p1], MAX_WALK_ARCS + 1),
-        lambda: count_avoiders(MAX_ARCS + 1, PatternSet.of()),
-        lambda: count_table([PatternSet.of()], MAX_ARCS + 1),
-    ):
-        start = time.perf_counter()
-        with pytest.raises(ValueError):
-            refuse()
-        assert time.perf_counter() - start < 0.5
+    with monkeypatch.context() as m:
+        # the counter refuses before it builds its table, so before any layer
+        m.setattr(enumeration, "_Occurrences", no_layer)
+        for refuse in (
+            lambda: enumerate_stoimenow(MAX_WALK_ARCS + 1),
+            lambda: count_avoiders(MAX_ARCS + 1, p1),
+            lambda: count_avoiders(-1, p1),
+            lambda: count_table([p1], MAX_WALK_ARCS + 1),
+            lambda: count_avoiders(MAX_ARCS + 1, PatternSet.of()),
+            lambda: count_table([PatternSet.of()], MAX_ARCS + 1),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(ValueError):
+                refuse()
+            assert time.perf_counter() - start < 0.5
     # Pattern-free counts are not walked, so they keep the counter's cap.
     assert count_avoiders(MAX_ARCS, PatternSet.of()) == fishburn_oracle(MAX_ARCS)
     assert count_table([PatternSet.of()], MAX_ARCS).rows[0][1] == tuple(
@@ -110,17 +119,29 @@ def test_size_guard(monkeypatch):
     )
 
 
-def test_avoidance_counter_refuses_a_layer_past_the_state_budget(monkeypatch):
+def test_avoidance_counter_refuses_a_layer_past_the_occurrence_budget(monkeypatch):
     p1 = parse_pattern_set("P1")
-    # P1's largest layer at n = 6 holds 31 states
-    monkeypatch.setattr(enumeration, "MAX_AVOID_STATES", 31)
+    # P1's largest layer at n = 6 holds 42 partial occurrences
+    monkeypatch.setattr(enumeration, "MAX_HELD_OCCURRENCES", 42)
     assert count_avoiders(6, p1) == 132
-    monkeypatch.setattr(enumeration, "MAX_AVOID_STATES", 30)
-    with pytest.raises(ValueError, match="more than 30 states"):
+    monkeypatch.setattr(enumeration, "MAX_HELD_OCCURRENCES", 41)
+    with pytest.raises(ValueError, match="more than 41 partial occurrences"):
         count_avoiders(6, p1)
     # the budget bounds only layers that hold pattern occurrences
-    monkeypatch.setattr(enumeration, "MAX_AVOID_STATES", 0)
+    monkeypatch.setattr(enumeration, "MAX_HELD_OCCURRENCES", 0)
     assert count_avoiders(6, PatternSet.of()) == FISHBURN[6]
+    # and pattern-free layers are not even summed, since they hold nothing
+    monkeypatch.setattr(enumeration, "MAX_HELD_OCCURRENCES", -1)
+    assert _counts(6, ()) == FISHBURN[:7]
+
+
+def test_occurrence_budget_refuses_twenty_random_templates():
+    # twenty random four-arc templates hold far more occurrences per state
+    # than any set of atlas patterns; the budget refuses them within seconds
+    templates = random.Random(5).sample(all_matchings(4), 20)
+    ps = PatternSet(frozenset(Pattern(t) for t in templates))
+    with pytest.raises(ValueError, match=f"more than {enumeration.MAX_HELD_OCCURRENCES} partial"):
+        count_avoiders(11, ps)
 
 
 def test_count_avoiders_examples():
@@ -128,6 +149,8 @@ def test_count_avoiders_examples():
     assert count_avoiders(5, parse_pattern_set("P4,P5")) == 34
     assert count_avoiders(5, parse_pattern_set("R4")) == 16
     assert count_avoiders(0, parse_pattern_set("P1")) == 1
+    # past the walk's cap, within the occurrence budget
+    assert count_avoiders(12, parse_pattern_set("P1")) == 208012 == catalan_number(12)
 
 
 def test_count_avoiders_empty_set_matches_totals():
@@ -256,6 +279,7 @@ def test_avoidance_counter_matches_naive_filtering(templates, n):
         ("R3", 11),
         ("R4", 11),
         ("R5", 11),
+        ("R4", 14),
     ],
 )
 def test_avoidance_counter_matches_closed_forms_past_the_walk(monkeypatch, name, n):

@@ -126,6 +126,22 @@ def test_series_division_errors():
         x.over_x(2)
 
 
+def test_series_refuse_negative_sizes_and_shifts():
+    x = PowerSeries.monomial(1, 1, 4)
+    for bad in (
+        lambda: PowerSeries.constant(1, -3),
+        lambda: PowerSeries.monomial(1, -1, 4),
+        lambda: PowerSeries.monomial(1, 0, -1),
+        lambda: x.times_x(-1),
+        lambda: x.over_x(-1),
+    ):
+        with pytest.raises(ValueError):
+            bad()
+    # a zero shift and a power past the order still work
+    assert x.times_x(0) == x == x.over_x(0)
+    assert PowerSeries.monomial(1, 5, 4) == PowerSeries.constant(0, 4)
+
+
 def test_series_sqrt_example():
     s = 1 - PowerSeries.monomial(4, 1, 3)
     assert s.sqrt().coeffs == (1, -2, -2, -4)
