@@ -65,8 +65,8 @@ from .identities import (
 from .posets import (
     Poset,
     UnknownForbiddenPoset,
-    canonical_form,
     cover_relations,
+    interval_type,
     omega,
     poset_contains,
 )

@@ -178,12 +178,13 @@ def contains(m: Matching, p: Pattern) -> bool:
     occurrences (t, slots) of p's endpoint word, the empty one (0, ())
     included.  An opener feeds each of them to `_opened`, and the closer
     of open arc i (the i-th open arc, by opener) to `_closed`; the scan
-    returns True at the first occurrence that completes.  After each
-    site, an occurrence that needs more openers or letters than remain
-    is dropped; an occurrence that fits still fits after it advances.  A
-    site costs one step per occurrence held, and an occurrence holds at
-    most w open arcs, where w is the most arcs p has open at once (2 for
-    every atlas pattern), so an n-arc matching costs O(n^(w+1)) steps.
+    returns True at the first occurrence that completes.  At an opener,
+    an occurrence that skips it is dropped if it needs more openers than
+    remain; as `_Occurrences.open` shows, that alone keeps every
+    occurrence within the letters that remain.  A site costs one step
+    per occurrence held, and an occurrence holds at most w open arcs,
+    where w is the most arcs p has open at once (2 for every atlas
+    pattern), so an n-arc matching costs O(n^(w+1)) steps.
     """
     k = p.size
     if k == 0:
@@ -193,12 +194,10 @@ def contains(m: Matching, p: Pattern) -> bool:
     letters, openers_left = _endpoint_word(p.template)
     size = len(letters)
     mate = partners(m)
-    n2 = 2 * m.n
     to_open = m.n
     open_now: list[int] = []
     occ = {(0, ())}
-    for site in range(1, n2 + 1):
-        rest_sites = n2 - site
+    for site in range(1, 2 * m.n + 1):
         held = occ
         occ = set()
         if mate[site] > site:
@@ -206,7 +205,7 @@ def contains(m: Matching, p: Pattern) -> bool:
             new = len(open_now)
             open_now.append(site)
             for t, slots in held:
-                if openers_left[t] <= to_open and size - t <= rest_sites:
+                if openers_left[t] <= to_open:
                     occ.add((t, slots))
                 step = _opened(letters, t, slots, new)
                 if step is not None:
@@ -217,11 +216,9 @@ def contains(m: Matching, p: Pattern) -> bool:
             for t, slots in held:
                 step = _closed(letters, t, slots, i)
                 if step is not None:
-                    t = step[0]
-                    if t == size:
+                    if step[0] == size:
                         return True
-                    if size - t <= rest_sites:
-                        occ.add(step)
+                    occ.add(step)
     return False
 
 

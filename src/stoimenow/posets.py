@@ -1,8 +1,12 @@
 """Finite strict partial orders on arc indices and induced-subposet tests.
 
 The arcs-to-poset map orders arc i below arc j exactly when arc i closes
-before arc j opens, so the image is an interval order.  The three named
-four-element posets screened for are (2+2), (3+1), and N.
+before arc j opens, so the image is an interval order, that is, a
+(2+2)-free poset (Fishburn 1970).  The three named four-element posets
+screened for are (2+2), (3+1), and N.  `interval_type`, the sorted
+(down-set size, up-set size) pairs, tells interval orders apart up to
+isomorphism, so it is what `verify.omega_suite` compares to show the map
+injective.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations, groupby, permutations, product
+from itertools import combinations, permutations
 
 from .matching import Matching
 
@@ -111,51 +115,25 @@ def cover_relations(p: Poset) -> list[tuple[int, int]]:
     return covers
 
 
-def canonical_form(p: Poset) -> tuple[tuple[int, int], ...]:
-    """Isomorphism invariant: the least sorted relation list over a
-    restricted set of relabelings.
+def interval_type(p: Poset) -> tuple[tuple[int, int], ...]:
+    """The sorted (down-set size, up-set size) pairs of p's elements.
 
-    Elements are sorted by the isomorphism invariant (down-set size,
-    up-set size), largest first, and only labelings that respect this class
-    order are tried: the product of the permutations within each class.
-    The classes and the allowed labelings are defined the same way for
-    every poset, so isomorphic posets get the same form and the form is
-    still a complete invariant.  Isolated elements, class (0, 0), take the
-    largest labels and never appear in the list, so, as with the least list
-    over all n! relabelings, adding them does not change the form.
-
-    When every member of a class has the same down-set and the same
-    up-set, permuting them is an automorphism and leaves every relation
-    list unchanged, so that class is tried in one arrangement only.  This
-    always holds in `omega` images, which are interval orders, so an
-    antichain costs one labeling.  Classes of elements with equal set
-    sizes but different sets still cost every arrangement: k disjoint
-    2-element chains cost (k!)^2 labelings, about 2.3 s at k = 6 on a
-    2-core host.  `omega_suite` computes forms only up to
-    `verify.OMEGA_INJECTIVITY_N_MAX` = 6 arcs.
+    Relabeling permutes the pairs, so the type is an isomorphism
+    invariant of every poset.  On an interval order it is also complete.
+    Write D(x), U(x) for the sets below and above x, and d(x), u(x) for
+    their sizes.  If a lies in D(x) - D(y) and b in D(y) - D(x), then
+    a < x and b < y induce a 2+2, so the down-sets of an interval order
+    are nested; dually so are its up-sets, and u(z) >= u(x) iff U(z)
+    contains U(x).  Hence x < y iff #{z : u(z) >= u(x)} <= d(y): if x
+    lies in D(y), so does every z with U(z) containing U(x); if not,
+    every z in D(y) has y in U(z) - U(x), so u(z) > u(x), and D(y) misses
+    x.  The relation is thus read off the pairs alone, and two interval
+    orders with one type are isomorphic.  Posets that contain 2+2 can
+    share a type without being isomorphic.
     """
-    n = p.size
-    pairs = [(i, j) for i in range(n) for j in range(n) if p.less[i][j]]
-    down = [0] * n
-    up = [0] * n
-    for i, j in pairs:
-        up[i] |= 1 << j
-        down[j] |= 1 << i
-    invariant = [(d.bit_count(), u.bit_count()) for d, u in zip(down, up)]
-    order = sorted(range(n), key=invariant.__getitem__, reverse=True)
-    classes = [tuple(block) for _, block in groupby(order, key=invariant.__getitem__)]
-    arrangements = [
-        [c] if len({(down[e], up[e]) for e in c}) == 1 else permutations(c) for c in classes
-    ]
-    best = None
-    label = [0] * n
-    for arrangement in product(*arrangements):
-        for position, e in enumerate(chain.from_iterable(arrangement)):
-            label[e] = position
-        rels = tuple(sorted((label[i], label[j]) for i, j in pairs))
-        if best is None or rels < best:
-            best = rels
-    return best
+    down = [sum(column) for column in zip(*p.less)]
+    up = [sum(row) for row in p.less]
+    return tuple(sorted(zip(down, up)))
 
 
 def poset_to_json(p: Poset) -> str:

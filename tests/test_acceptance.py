@@ -115,7 +115,7 @@ def test_criterion_7_omega_equivalences():
     start = time.time()
     outcomes = omega_suite(n_max=7)
     ok = all(o.passed for o in outcomes)
-    _report(7, "poset-map equivalences n<=7, injective n<=6", ok, time.time() - start, 120)
+    _report(7, "poset-map equivalences n<=7, injective n<=7", ok, time.time() - start, 120)
 
 
 def test_criterion_8_reversal_symmetries():

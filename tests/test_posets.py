@@ -1,4 +1,4 @@
-import time
+from functools import cache
 from itertools import permutations
 
 import pytest
@@ -6,10 +6,10 @@ import pytest
 from stoimenow import (
     UnknownForbiddenPoset,
     avoids_all,
-    canonical_form,
     contains,
     cover_relations,
     enumerate_stoimenow,
+    interval_type,
     make_matching,
     omega,
     parse_pattern_set,
@@ -18,7 +18,7 @@ from stoimenow import (
 )
 from stoimenow.posets import poset_from_relations, poset_to_json
 from stoimenow.verify import omega_suite
-from util import arrangements_canonical_form, brute_canonical_form
+from util import brute_canonical_form
 
 
 def chain(n):
@@ -68,8 +68,8 @@ def test_omega_images_pass_the_relation_checks():
 
 
 def test_omega_suite_caps_injectivity_at_n_max():
-    outcomes = omega_suite(3)
-    assert [o.line() for o in outcomes][-1] == "omega-injective: PASS (n <= 3)"
+    outcomes = omega_suite(7)
+    assert [o.line() for o in outcomes][-1] == "omega-injective: PASS (n <= 7)"
     assert all(o.passed for o in outcomes)
 
 
@@ -97,13 +97,6 @@ def test_cover_relations():
     assert cover_relations(antichain(3)) == []
 
 
-def test_canonical_form_is_relabeling_invariant():
-    p = poset_from_relations(4, [(0, 2), (0, 3), (1, 3)])
-    q = poset_from_relations(4, [(3, 1), (3, 0), (2, 0)])  # same shape, relabeled
-    assert canonical_form(p) == canonical_form(q)
-    assert canonical_form(p) != canonical_form(chain(4))
-
-
 def test_poset_json():
     assert (
         poset_to_json(chain(2))
@@ -123,7 +116,7 @@ def test_omega_equivalences_small():
 
 def test_omega_injective_small():
     for n in range(6):
-        forms = [canonical_form(omega(m)) for m in enumerate_stoimenow(n)]
+        forms = [brute_canonical_form(omega(m)) for m in enumerate_stoimenow(n)]
         assert len(set(forms)) == len(forms)
 
 
@@ -149,25 +142,41 @@ def test_labelled_poset_counts():
     assert [sum(1 for _ in labelled_posets(n)) for n in range(6)] == [1, 1, 3, 19, 219, 4231]
 
 
-def test_canonical_form_classes_match_brute_force():
-    # every labelled poset on at most 5 elements and every omega image with
-    # n <= 6, mixed: equal forms iff equal brute-force forms
-    family = [p for n in range(6) for p in labelled_posets(n)]
-    family += [omega(m) for n in range(7) for m in enumerate_stoimenow(n)]
-    brute_of = {}
-    form_of = {}
-    for p in family:
-        form, brute = canonical_form(p), brute_canonical_form(p)
-        assert brute_of.setdefault(form, brute) == brute
-        assert form_of.setdefault(brute, form) == form
+def isomorphism_class(p):
+    # the brute-force form drops isolated elements, so the size goes with it
+    return p.size, brute_canonical_form(p)
 
 
-def test_twin_classes_take_one_arrangement():
-    # arranging a class of twins differently never changes the relation list
-    family = [omega(m) for n in range(6) for m in enumerate_stoimenow(n)]
-    family += [p for n in range(5) for p in labelled_posets(n)]
-    for p in family:
-        assert canonical_form(p) == arrangements_canonical_form(p)
-    start = time.perf_counter()
-    assert canonical_form(antichain(9)) == ()
-    assert time.perf_counter() - start < 0.1
+@cache
+def small_posets_with_classes():
+    """Every labelled poset on at most 5 elements, with its isomorphism class."""
+    return [(p, isomorphism_class(p)) for n in range(6) for p in labelled_posets(n)]
+
+
+def test_interval_type_is_complete_on_interval_orders():
+    # every (2+2)-free labelled poset on at most 5 elements and every omega
+    # image with n <= 6, mixed: equal types iff isomorphic
+    family = [(p, c) for p, c in small_posets_with_classes() if not poset_contains(p, "2+2")]
+    family += [(p, isomorphism_class(p)) for n in range(7) for p in map(omega, enumerate_stoimenow(n))]
+    class_of = {}
+    type_of = {}
+    for p, c in family:
+        kind = interval_type(p)
+        assert class_of.setdefault(kind, c) == c
+        assert type_of.setdefault(c, kind) == kind
+
+
+def test_interval_type_is_an_invariant_of_every_poset():
+    type_of = {}
+    for p, c in small_posets_with_classes():
+        kind = interval_type(p)
+        assert type_of.setdefault(c, kind) == kind
+
+
+def test_interval_type_is_incomplete_once_2_plus_2_occurs():
+    p = poset_from_relations(6, [(0, 4), (0, 5), (1, 3), (2, 3)])
+    q = poset_from_relations(6, [(0, 3), (0, 5), (1, 4), (2, 3)])
+    shared = ((0, 1), (0, 1), (0, 2), (1, 0), (1, 0), (2, 0))
+    assert interval_type(p) == interval_type(q) == shared
+    assert brute_canonical_form(p) != brute_canonical_form(q)
+    assert poset_contains(p, "2+2") and poset_contains(q, "2+2")
