@@ -3,7 +3,6 @@ avoidance, exact generating functions, and constructive bijections."""
 
 from .matching import (
     Arc,
-    BlockDecomposition,
     EMPTY,
     InvertedArc,
     Matching,

@@ -100,8 +100,7 @@ def split(m: Matching) -> tuple[Matching, Matching]:
     _require_p2_avoider(m, "input")
     if m.n == 0:
         raise EmptyMatching("cannot split the empty matching")
-    blocks = irreducible_blocks(m).blocks
-    head, _ = blocks[0]
+    head, _ = irreducible_blocks(m)[0]
     drop = 2 * head.n
     m2 = Matching(
         tuple(

@@ -252,14 +252,9 @@ class CountTable:
                 writer.writerow([patterns.name, i, count])
         return buf.getvalue()
 
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {"patterns": patterns.name, "n_from": 1, "counts": list(counts)}
-            for patterns, counts in self.rows
-        ]
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
+        rows = [{"patterns": ps.name, "n_from": 1, "counts": list(counts)} for ps, counts in self.rows]
+        return json.dumps(rows, indent=2)
 
 
 def _tally(n: int, distinct: Sequence[Pattern], row_masks: Sequence[int]) -> list[int]:

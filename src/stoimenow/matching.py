@@ -146,24 +146,12 @@ def reverse(m: Matching) -> Matching:
     return Matching(tuple(sorted(Arc(t - a.closer, t - a.opener) for a in m.arcs)))
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Irreducible blocks with their starting positions in the parent."""
-
-    blocks: tuple[tuple[Matching, int], ...]
-
-    def reassemble(self) -> Matching:
-        arcs = []
-        for block, offset in self.blocks:
-            arcs.extend(Arc(a.opener + offset - 1, a.closer + offset - 1) for a in block.arcs)
-        return Matching(tuple(sorted(arcs)))
-
-
-def irreducible_blocks(m: Matching) -> BlockDecomposition:
+def irreducible_blocks(m: Matching) -> tuple[tuple[Matching, int], ...]:
     """Split at every proper prefix with as many openers as closers.
 
-    Each block is renormalized to its own ground set {1..2m}; blocks are
-    returned left to right with their 1-based offsets in the parent.
+    Each block is renormalized to its own ground set {1..2m}; the blocks
+    are returned left to right as (block, 1-based offset in the parent)
+    pairs.
     """
     part = partners(m)
     blocks = []
@@ -179,7 +167,7 @@ def irreducible_blocks(m: Matching) -> BlockDecomposition:
             )
             blocks.append((Matching(arcs), start))
             start = p + 1
-    return BlockDecomposition(tuple(blocks))
+    return tuple(blocks)
 
 
 def reduction_arc(m: Matching) -> Arc:

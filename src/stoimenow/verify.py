@@ -80,8 +80,8 @@ class VerificationReport:
         )
         return "\n".join(lines) + "\n"
 
-    def to_json_obj(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        report = {
             "schema": REPORT_SCHEMA,
             "n_max": self.n_max,
             "rows": [
@@ -97,9 +97,7 @@ class VerificationReport:
             ],
             "overall_pass": self.overall_pass,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
+        return json.dumps(report, indent=2)
 
     def to_csv(self) -> str:
         lines = ["patterns,n,count,expected,agree"]
@@ -189,33 +187,33 @@ def _avoiders(name: str, n_max: int) -> dict[int, list[Matching]]:
     }
 
 
-def bijection_suite(total_size: int = 6, string_n_max: int = 6) -> list[CheckOutcome]:
-    """Round-trip and worked-example checks for both bijections."""
+def bijection_suite(n_max: int = 6) -> list[CheckOutcome]:
+    """Round-trip and worked-example checks for both bijections, up to n_max arcs."""
     outcomes = []
 
-    avoiders = _avoiders("P2", total_size)
+    avoiders = _avoiders("P2", n_max)
     glue_ok = True
     pairs = 0
-    for n1 in range(total_size):
-        for n2 in range(total_size - n1):
+    for n1 in range(n_max):
+        for n2 in range(n_max - n1):
             for m1, m2 in product(avoiders[n1], avoiders[n2]):
                 glued = glue(m1, m2)
                 if glued.n != n1 + n2 + 1 or split(glued) != (m1, m2):
                     glue_ok = False
                 pairs += 1
     outcomes.append(
-        CheckOutcome("glue-then-split", glue_ok, f"{pairs} pairs, total size <= {total_size}")
+        CheckOutcome("glue-then-split", glue_ok, f"{pairs} pairs, total size <= {n_max}")
     )
 
     split_ok = True
     singles = 0
-    for n in range(1, total_size + 1):
+    for n in range(1, n_max + 1):
         for m in avoiders[n]:
             if glue(*split(m)) != m:
                 split_ok = False
             singles += 1
     outcomes.append(
-        CheckOutcome("split-then-glue", split_ok, f"{singles} matchings, n <= {total_size}")
+        CheckOutcome("split-then-glue", split_ok, f"{singles} matchings, n <= {n_max}")
     )
 
     m1 = parse_arcs(GLUE_EXAMPLE[0])
@@ -235,9 +233,9 @@ def bijection_suite(total_size: int = 6, string_n_max: int = 6) -> list[CheckOut
     )
     outcomes.append(CheckOutcome("string-worked-examples", strings_ok))
 
-    r4_avoiders = _avoiders("R4", string_n_max)
+    r4_avoiders = _avoiders("R4", n_max)
     bijection_ok = True
-    for n in range(1, string_n_max + 1):
+    for n in range(1, n_max + 1):
         words = ["".join(w) for w in product("ab", repeat=n - 1)]
         images = [string_to_matching(w) for w in words]
         image_set = set(images)
@@ -249,7 +247,7 @@ def bijection_suite(total_size: int = 6, string_n_max: int = 6) -> list[CheckOut
         CheckOutcome(
             "string-bijection",
             bijection_ok,
-            f"2^(n-1) strings onto R4-avoiders, n <= {string_n_max}",
+            f"2^(n-1) strings onto R4-avoiders, n <= {n_max}",
         )
     )
     return outcomes
@@ -301,7 +299,7 @@ _RUNNERS = {
     "case-sums": lambda order, n_max: case_sum_suite(order),
     "fibonacci": lambda order, n_max: fibonacci_suite(order),
     "omega": lambda order, n_max: omega_suite(n_max),
-    "bijections": lambda order, n_max: bijection_suite(n_max, n_max),
+    "bijections": lambda order, n_max: bijection_suite(n_max),
 }
 SUITES = (*_RUNNERS, "all")
 # The suites that walk every matching up to n_max refuse larger values:

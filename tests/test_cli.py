@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import re
 import shlex
@@ -228,6 +230,10 @@ def test_series_usage_errors(capsys):
     assert "error" in err
     code, _, err = run(capsys, "series", "--name", "nope")
     assert code == 2
+    # a valid pattern set that names no registry series
+    code, _, err = run(capsys, "series", "--name", "P1")
+    assert code == 2
+    assert "unknown series name 'P1'" in err
     code, _, err = run(capsys, "series")
     assert code == 2
 
@@ -264,6 +270,11 @@ def test_table_workers_byte_identical(capsys):
 def test_table_unknown_row(capsys):
     code, _, err = run(capsys, "table", "--rows", "P1,P9")
     assert code == 2
+    # a valid pattern set that is not a registry row
+    code, out, err = run(capsys, "table", "--rows", "P1")
+    assert code == 2
+    assert out == ""
+    assert "unknown rows: ['P1']" in err
 
 
 @pytest.mark.parametrize("rows", [";", ""])
@@ -272,6 +283,75 @@ def test_table_rows_selecting_nothing_are_refused(capsys, rows):
     assert code == 2
     assert out == ""
     assert "select no row" in err
+
+
+# One tiny run per subcommand that has --format; every choice runs once.
+FORMAT_ARGS = {
+    "gen": ["--n", "2", "--avoid", "P1"],
+    "count": ["--n-max", "3", "--avoid", "P1"],
+    "table": ["--n-max", "3"],
+    "series": ["--name", "R3", "--order", "4"],
+}
+
+
+def test_every_output_format_runs(capsys):
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    formats = {
+        name: action.choices
+        for name, sub in commands.items()
+        for action in sub._actions
+        if action.dest == "format"
+    }
+    assert set(formats) == set(FORMAT_ARGS)
+    for name, choices in formats.items():
+        for fmt in choices:
+            code, out, err = run(capsys, name, *FORMAT_ARGS[name], "--format", fmt)
+            assert (code, err) == (0, ""), (name, fmt)
+            assert out.strip(), (name, fmt)
+            if fmt == "csv":
+                rows = list(csv.reader(io.StringIO(out)))
+                assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}, name
+            elif fmt == "json":
+                # gen streams one JSON value per line; a report is one value
+                for doc in out.splitlines() if name == "gen" else [out]:
+                    json.loads(doc)
+
+
+def test_table_csv_and_count_json_are_pinned(capsys):
+    code, out, _ = run(capsys, "table", "--n-max", "3", "--rows", "P1,P2", "--format", "csv")
+    assert code == 0
+    assert out == (
+        "patterns,n,count,expected,agree\n"
+        '"P1,P2",1,1,1,true\n'
+        '"P1,P2",2,2,2,true\n'
+        '"P1,P2",3,5,5,true\n'
+    )
+    code, out, _ = run(capsys, "count", "--n-max", "3", "--avoid", "P1,P3", "--format", "json")
+    assert code == 0
+    assert out == (
+        '[\n  {\n    "patterns": "P1,P3",\n    "n_from": 1,\n'
+        '    "counts": [\n      1,\n      2,\n      5\n    ]\n  }\n]\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "suite, name, broken, failing",
+    [
+        ("bijections", "split", lambda real: lambda m: real(m)[::-1], {"glue-then-split", "split-then-glue"}),
+        (
+            "bijections",
+            "string_to_matching",
+            lambda real: lambda word: real(word[::-1]),
+            {"string-worked-examples", "string-bijection"},
+        ),
+        ("omega", "interval_type", lambda real: lambda p: 0, {"omega-injective"}),
+    ],
+)
+def test_walking_suites_report_a_broken_map(capsys, monkeypatch, suite, name, broken, failing):
+    monkeypatch.setattr(verify, name, broken(getattr(verify, name)))
+    code, out, _ = run(capsys, "check", "--suite", suite, "--n-max", "3")
+    assert code == 1
+    assert {line.partition(": ")[0] for line in out.splitlines() if ": FAIL" in line} == failing
 
 
 def test_check_suites(capsys):

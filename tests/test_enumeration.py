@@ -1,3 +1,4 @@
+import json
 import random
 import time
 import weakref
@@ -167,7 +168,7 @@ def test_count_table_rows():
 def test_count_table_csv_and_json():
     table = count_table([parse_pattern_set("P1,P2")], 3)
     assert table.to_csv() == 'patterns,n,count\n"P1,P2",1,1\n"P1,P2",2,2\n"P1,P2",3,5\n'
-    assert table.to_json_obj() == [
+    assert json.loads(table.to_json()) == [
         {"patterns": "P1,P2", "n_from": 1, "counts": [1, 2, 5]}
     ]
 

@@ -5,6 +5,7 @@ from stoimenow import (
     EMPTY,
     Arc,
     InvertedArc,
+    Matching,
     NoSuchArc,
     NotPerfectMatching,
     enumerate_stoimenow,
@@ -126,24 +127,22 @@ def test_reverse_preserves_stoimenow_exhaustive():
 
 
 def test_irreducible_blocks_examples():
-    dec = irreducible_blocks(M2)
-    assert [(str(b), off) for b, off in dec.blocks] == [
+    assert [(str(b), off) for b, off in irreducible_blocks(M2)] == [
         ("(1,2)", 1),
         ("(1,3)(2,4)", 3),
         ("(1,2)", 7),
     ]
-    assert len(irreducible_blocks(M1).blocks) == 1
-    assert len(irreducible_blocks(make_matching([(1, 2)])).blocks) == 1
-    assert irreducible_blocks(EMPTY).blocks == ()
+    assert len(irreducible_blocks(M1)) == 1
+    assert len(irreducible_blocks(make_matching([(1, 2)]))) == 1
+    assert irreducible_blocks(EMPTY) == ()
 
 
 def test_blocks_reassemble_to_parent():
-    for n in range(4):
-        for m in all_matchings(n):
-            assert irreducible_blocks(m).reassemble() == m
-    for n in range(6):
-        for m in enumerate_stoimenow(n):
-            assert irreducible_blocks(m).reassemble() == m
+    general = [m for n in range(4) for m in all_matchings(n)]
+    for m in general + [m for n in range(6) for m in enumerate_stoimenow(n)]:
+        blocks = irreducible_blocks(m)
+        arcs = [Arc(a.opener + off - 1, a.closer + off - 1) for block, off in blocks for a in block.arcs]
+        assert Matching(tuple(sorted(arcs))) == m
 
 
 def test_reduction_arc_examples():

@@ -1,5 +1,10 @@
-import pytest
+from types import SimpleNamespace
+from unittest import mock
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from stoimenow import patterns
 from stoimenow import (
     Arc,
     Pattern,
@@ -17,7 +22,7 @@ from stoimenow import (
     reverse_pattern_set,
     standardize,
 )
-from util import all_matchings, naive_contains
+from util import all_matchings, naive_contains, split_top_level
 
 ATLAS_EXPECTED = {
     "P1": [(1, 3), (2, 7), (4, 5), (6, 8)],
@@ -149,6 +154,36 @@ def test_parse_pattern_set_rejects_unknown():
         parse_pattern_set("P9")
     with pytest.raises(ValueError):
         parse_pattern_set("P1,(1,3)(2,5)")
+
+
+def _parsed(text):
+    """parse_pattern_set's set and its canonical name, or "refused"."""
+    try:
+        ps = parse_pattern_set(text)
+    except ValueError:
+        return "refused"
+    return ps, ps.name
+
+
+# Single characters of the grammar, plus two whole literals: of the
+# strings of up to 7 single characters, about one in 19,000 is accepted.
+PATTERN_TEXT_TOKENS = ["P1", "R3", "(", ")", ",", "1", "2", "3", "4", " ", "(1,2)", "(1,3)(2,4)"]
+
+
+@settings(deadline=None, max_examples=2000)
+@example("P2,(1,4)(2,5)(3,6)")
+@example("(1,3)(2,7)(4,5)(6,8),P2")
+@example("(1,2),(3,4)")
+@example("P1,(1,3")
+@example("P1,,P2")
+@example(" P1 , R3 ")
+@given(st.lists(st.sampled_from(PATTERN_TEXT_TOKENS), max_size=7).map("".join))
+def test_comma_regex_splits_like_a_depth_scanner(text):
+    # the depth scanner keeps an unbalanced "(1,3" whole where the regex
+    # splits it, but parse_arcs refuses both halves and the whole alike
+    with mock.patch.object(patterns, "_TOP_LEVEL_COMMA", SimpleNamespace(split=split_top_level)):
+        expected = _parsed(text)
+    assert _parsed(text) == expected
 
 
 def test_reverse_pattern_set_maps_names():

@@ -3,8 +3,8 @@
 These stay deliberately naive and independent of the library's pruned
 search paths: full enumeration of all perfect matchings, a template scan
 over arc pairs, unpruned subset enumeration for containment, per-term
-Fraction loops for the series kernels, and the all-permutations
-canonical form of a poset.
+Fraction loops for the series kernels, the all-permutations canonical
+form of a poset, and a parenthesis-depth scanner for pattern-set text.
 """
 
 from fractions import Fraction
@@ -138,3 +138,20 @@ def brute_canonical_form(p: Poset) -> tuple[tuple[int, int], ...]:
         if best is None or rels < best:
             best = rels
     return best
+
+
+def split_top_level(text: str) -> list[str]:
+    """Split at every comma outside parentheses, tracking their depth by hand."""
+    tokens, depth, cur = [], 0, []
+    for ch in text:
+        if ch == "," and depth == 0:
+            tokens.append("".join(cur))
+            cur = []
+            continue
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        cur.append(ch)
+    tokens.append("".join(cur))
+    return tokens
