@@ -17,7 +17,6 @@ from __future__ import annotations
 from .matching import (
     Arc,
     Matching,
-    is_k_crossing,
     is_stoimenow,
     irreducible_blocks,
     make_matching,
@@ -44,37 +43,29 @@ def _require_p2_avoider(m: Matching, which: str) -> None:
         raise NotP2Avoiding(f"{which} is not a P2-avoiding Stoimenow matching")
 
 
-def _insert_position(arcs: tuple[Arc, ...], pos: int) -> list[tuple[int, int]]:
+def _insert_position(pairs: list[tuple[int, int]], pos: int) -> list[tuple[int, int]]:
     # Shift every endpoint at or beyond pos up by one, freeing pos.
-    return [
-        (a.opener + (a.opener >= pos), a.closer + (a.closer >= pos)) for a in arcs
-    ]
+    return [(o + (o >= pos), c + (c >= pos)) for o, c in pairs]
 
 
 def _with_reduction_arc(m1: Matching) -> Matching:
     """Insert a fresh arc into m1 so that it becomes the reduction arc.
 
-    The opener goes immediately left of the first opener when m1 is a
-    crossing; otherwise immediately before the run of openers below the
-    first closer whose arcs close beyond the last opener, or before the
-    first closer when that run is empty.  The closer then goes immediately
-    after the last opener of the updated configuration.
+    The opener goes immediately before the run of openers below the first
+    closer whose arcs close beyond the last opener (in a crossing that run
+    is every opener), or before the first closer when that run is empty.
+    The closer then goes immediately after the last opener of the updated
+    configuration.
     """
     if m1.n == 0:
         return make_matching([(1, 2)])
-    if is_k_crossing(m1):
-        a_pos = m1.arcs[0].opener
-    else:
-        b1 = m1.arcs[0].closer
-        last_opener = m1.arcs[-1].opener
-        run = [a.opener for a in m1.arcs if a.opener < b1 and a.closer > last_opener]
-        a_pos = min(run) if run else b1
-    shifted = _insert_position(m1.arcs, a_pos)
-    b_pos = max(max(o for o, _ in shifted), a_pos) + 1
-    arcs = [
-        (o + (o >= b_pos), c + (c >= b_pos)) for o, c in shifted
-    ] + [(a_pos, b_pos)]
-    return make_matching(arcs)
+    b1 = m1.arcs[0].closer
+    last_opener = m1.arcs[-1].opener
+    run = [a.opener for a in m1.arcs if a.opener < b1 and a.closer > last_opener]
+    a_pos = min(run, default=b1)
+    shifted = _insert_position([(a.opener, a.closer) for a in m1.arcs], a_pos)
+    b_pos = max(a_pos, *(o for o, _ in shifted)) + 1
+    return make_matching(_insert_position(shifted, b_pos) + [(a_pos, b_pos)])
 
 
 def glue(m1: Matching, m2: Matching) -> Matching:

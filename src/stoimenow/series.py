@@ -385,7 +385,3 @@ class PowerSeries:
         for k in range(1, n + 1):
             u.append((a[k] * scale[k] // d - sum(map(mul, u[1:k], u[k - 1 : 0 : -1]))) // 2)
         return _ratios(u, scale)
-
-    def __str__(self) -> str:
-        body = ", ".join(str(c) for c in self.coeffs)
-        return f"[{body}] + O(x^{self.order + 1})"

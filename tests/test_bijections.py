@@ -35,8 +35,11 @@ def test_glue_worked_example():
 
 def test_glue_edge_cases():
     assert glue(EMPTY, EMPTY) == make_matching([(1, 2)])
-    two_crossing = make_matching([(1, 3), (2, 4)])
-    assert glue(two_crossing, EMPTY) == make_matching([(1, 4), (2, 5), (3, 6)])
+    # glue(k-crossing, empty) is the (k+1)-crossing; k = 2 gives (1,4)(2,5)(3,6)
+    for k in (*range(1, 13), 50, 99):
+        crossing = make_matching([(i, i + k) for i in range(1, k + 1)])
+        wider = make_matching([(i, i + k + 1) for i in range(1, k + 2)])
+        assert glue(crossing, EMPTY) == wider, k
 
 
 def test_glue_rejects_bad_operands():

@@ -345,6 +345,18 @@ def test_table_csv_and_count_json_are_pinned(capsys):
             {"string-worked-examples", "string-bijection"},
         ),
         ("omega", "interval_type", lambda real: lambda p: 0, {"omega-injective"}),
+        (
+            "bijections",
+            "count_avoiders",
+            lambda real: lambda n, s: real(n, s) + 1,
+            {"glue-then-split", "string-bijection"},
+        ),
+        (
+            "omega",
+            "poset_contains",
+            lambda real: lambda p, name: not real(p, name),
+            {"omega-images-2+2-free", "omega-P1-iff-3+1-free", "omega-P2-iff-N-free"},
+        ),
     ],
 )
 def test_walking_suites_report_a_broken_map(capsys, monkeypatch, suite, name, broken, failing):
