@@ -10,8 +10,6 @@ from .matching import (
     NotPerfectMatching,
     format_arcs,
     irreducible_blocks,
-    is_k_crossing,
-    is_k_noncrossing,
     is_stoimenow,
     make_matching,
     parse_arcs,

@@ -1,13 +1,15 @@
 """Constructive bijections on pattern-avoiding Stoimenow matchings.
 
-Three families live here:
+Two families live here:
 
 * gluing/splitting, an inverse pair between pairs of P2-avoiders and
-  single P2-avoiders one arc larger,
+  single P2-avoiders one arc larger, and
 * the letter encoding of R4-avoiders as strings over {a, b} (ASCII
   spellings of the alpha/beta labels), one letter per arc beyond the
-  first, and
-* membership helpers shared by both.
+  first.
+
+Each family checks its own operands: glue and split require P2-avoiders,
+and matching_to_string requires an R4-avoider.
 
 The arcs-to-poset map itself lives in :mod:`stoimenow.posets`.
 """

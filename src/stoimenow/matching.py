@@ -126,20 +126,6 @@ def is_stoimenow(m: Matching) -> bool:
     return True
 
 
-def is_k_crossing(m: Matching) -> bool:
-    """True iff all openers precede all closers and closers rise with openers."""
-    if m.n == 0:
-        return True
-    if m.arcs[-1].opener > m.arcs[0].closer:
-        return False
-    return all(m.arcs[i].closer < m.arcs[i + 1].closer for i in range(m.n - 1))
-
-
-def is_k_noncrossing(m: Matching) -> bool:
-    """True iff the arcs are pairwise disjoint and consecutive."""
-    return all(m.arcs[i].closer < m.arcs[i + 1].opener for i in range(m.n - 1))
-
-
 def reverse(m: Matching) -> Matching:
     """Mirror the matching: position i maps to 2n+1-i.  An involution."""
     t = 2 * m.n + 1
@@ -171,12 +157,13 @@ def irreducible_blocks(m: Matching) -> tuple[tuple[Matching, int], ...]:
 
 
 def reduction_arc(m: Matching) -> Arc:
-    """The arc whose closer sits immediately after the last opener."""
+    """The arc whose closer sits immediately after the last opener.
+
+    Every position after the last opener is a closer, so this arc exists in
+    every nonempty matching.
+    """
     if m.n == 0:
         raise NoSuchArc("the empty matching has no reduction arc")
     last_opener = m.arcs[-1].opener
     target = last_opener + 1
-    for a in m.arcs:
-        if a.closer == target:
-            return a
-    raise NoSuchArc(f"position {target} is not a closer")
+    return next(a for a in m.arcs if a.closer == target)

@@ -123,11 +123,8 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
             return Polynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(tuple(out))
+        a, b = self.coeffs, other.coeffs
+        return Polynomial(tuple(_convolve(a, b + (0,) * (len(a) - 1), len(a) + len(b) - 2)))
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:

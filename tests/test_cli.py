@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import stoimenow.cli as cli
-from stoimenow import enumeration, series, verify
+from stoimenow import enumeration, identities, series, verify
 from stoimenow.cli import main
 
 
@@ -381,6 +381,24 @@ def test_check_suites(capsys):
     assert code == 0
     code, out, _ = run(capsys, "check", "--suite", "all", "--n-max", "3")
     assert code == 0
+
+
+def test_case_sums_report_a_broken_registry_form(capsys, monkeypatch):
+    reg = dict(identities.gf_registry())
+    reg["P1,P3"] = reg["P1,P4"]
+    monkeypatch.setattr(identities, "gf_registry", lambda: reg)
+    code, out, _ = run(capsys, "check", "--suite", "case-sums", "--order", "12")
+    assert code == 1
+    assert [line for line in out.splitlines() if "FAIL" in line] == [
+        "case-sum P1,P3: FAIL (order=12)"
+    ]
+
+
+def test_fibonacci_suite_names_the_order_it_refuses(capsys):
+    code, out, err = run(capsys, "check", "--suite", "fibonacci", "--order", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: order must be at least 1\n"
 
 
 def test_biject_operations(capsys):

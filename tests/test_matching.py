@@ -11,8 +11,6 @@ from stoimenow import (
     enumerate_stoimenow,
     format_arcs,
     irreducible_blocks,
-    is_k_crossing,
-    is_k_noncrossing,
     is_stoimenow,
     make_matching,
     parse_arcs,
@@ -86,18 +84,6 @@ def test_is_stoimenow_matches_naive_oracle_up_to_n4():
     for n in range(5):
         for m in all_matchings(n):
             assert is_stoimenow(m) == naive_is_stoimenow(m)
-
-
-def test_crossing_and_noncrossing():
-    assert is_k_crossing(make_matching([(1, 3), (2, 4)]))
-    two_apart = make_matching([(1, 2), (3, 4)])
-    assert is_k_noncrossing(two_apart)
-    assert not is_k_crossing(two_apart)
-    assert not is_k_crossing(M1)
-    assert is_k_crossing(EMPTY)
-    assert is_k_noncrossing(EMPTY)
-    assert is_k_crossing(make_matching([(1, 2)]))
-    assert is_k_noncrossing(make_matching([(1, 2)]))
 
 
 def test_reverse_swaps_the_two_mirror_patterns():

@@ -63,6 +63,9 @@ def test_polynomial_arithmetic():
     one_minus_x = Polynomial.parse("1-x")
     assert (one_minus_x**3).coeffs == (1, -3, 3, -1)
     assert (one_minus_x * Polynomial.parse("1+x")).coeffs == (1, 0, -1)
+    cubic = Polynomial.parse("1-4x+5x^2-3x^3")
+    assert (one_minus_x * cubic).coeffs == (1, -5, 9, -8, 3)
+    assert (cubic * one_minus_x).coeffs == (1, -5, 9, -8, 3)
     assert (one_minus_x - one_minus_x).is_zero
     assert Polynomial.from_coeffs([1, 2, 0, 0]).coeffs == (1, 2)
     assert Polynomial.parse("x") + Polynomial.parse("-x") == Polynomial(())
