@@ -44,6 +44,20 @@ fills the sites left to right, one layer of states at a time, and reads
 take slices of that pass; `count_table` with a pattern still walks
 every matching and tests it with `contains`.
 
+Most states that hold occurrences are dead: no avoider extends them.
+The counter drops a state as soon as one of its occurrences is forced
+to complete (the blocked-chain prune).  An occurrence that needs no
+more openers has only closers left, which fix the order its arcs must
+close in.  Say that order runs up the open arcs, from open arc a to
+open arc b, and each of the open arcs a+1..b is blocked: the arc before
+it opened at the site before it and is still open.  Then Type 1 makes
+arcs a..b close in increasing order in every completion.  Once no arc
+is left to open, only open arc 0 may close, so any increasing order is
+forced.  Every completion of such a state contains the pattern, so the
+prune never drops a prefix of an avoider; it takes
+`count --n 12 --avoid P1,P4,P5` from 2.4 s to 0.33 s (in-process, 2-core
+host) and lets every set of atlas patterns be counted through n = 13.
+
 `_counts` alone bounds the counter, with two limits: n at most
 `MAX_ARCS`, and with patterns at most `MAX_HELD_OCCURRENCES` partial
 occurrences held by one layer.  The budget counts occurrences, not
@@ -69,9 +83,10 @@ from .patterns import Pattern, PatternSet, _Occurrences, contains
 MAX_ARCS = 14
 # Budget of the partial occurrences one layer of the counter may hold with
 # patterns (the sum over its states of their occurrence sets' sizes).
-# Every one of the 255 sets of atlas patterns peaks at 527,967 or fewer at
-# n = 11; past n = 11 it decides which sets are counted, and each call,
-# counted or refused, ends within about 3 s and 170 MiB on a 2-core host.
+# Every one of the 255 sets of atlas patterns peaks at 479,174 or fewer at
+# n = 13 (75,521 at n = 11); at n = 14 it counts 248 of them and refuses
+# 7, and each call, counted or refused, ends within about 3 s and 100 MiB
+# on a 2-core host.
 MAX_HELD_OCCURRENCES = 1_000_000
 # Anything that visits every matching (generation, and `count_table` with
 # a pattern) refuses larger n: M_11 already holds 1,420,053 matchings, and
@@ -190,15 +205,24 @@ def _counts(n: int, patterns: Sequence[Pattern]) -> list[int]:
     is made: closing arc i > 0 makes every later closer pass arc 0 (Type
     2), and with no opener left to reset that, arc 0 never closes.
 
+    `close` and `open` also get the state's `blocked` after the step, or
+    -1 once no arc is left to open, and return None when that forces an
+    occurrence to complete (`patterns._chain_mask`).  Type 1, or with -1
+    the rule above, then makes every completion close the occurrence's
+    arcs in the order its letters need, so every completion contains the
+    pattern and the state is dead.
+
     After site 2m, the states with no arc open hold exactly the prefixes
     in M_m(S): Type 1 and Type 2 look only at adjacent sites, so such a
     prefix is a matching of M_m; an occurrence that completes within it
-    killed it at that site; and the table drops only occurrences that
-    cannot complete by site 2n, so never one that completes by site 2m.
-    n is checked against `MAX_ARCS` before the table or any layer is
-    built.  With patterns, a layer whose states hold more than
-    `MAX_HELD_OCCURRENCES` partial occurrences in all is refused; a
-    pattern-free layer holds none, so its sum is not taken.
+    killed it at that site; the prune above kills only prefixes that no
+    avoider extends, so never a prefix of a matching in M_m(S); and the
+    table drops only occurrences that cannot complete by site 2n, so
+    never one that completes by site 2m.  n is checked against
+    `MAX_ARCS` before the table or any layer is built.  With patterns, a
+    layer whose states hold more than `MAX_HELD_OCCURRENCES` partial
+    occurrences in all is refused; a pattern-free layer holds none, so
+    its sum is not taken.
     """
     _check_size(n, MAX_ARCS, "the counter")
     table = _Occurrences(patterns, n)
@@ -216,18 +240,20 @@ def _counts(n: int, patterns: Sequence[Pattern]) -> list[int]:
             for i in range(first, open_arcs if to_open else 1):
                 if blocked >> i & 1:
                     continue
-                kept = table.close(occ, i) if occ else occ
-                if kept is None:
-                    continue
                 # drop bit i; the arc after it is no longer blocked
                 rest = (blocked >> (i + 1) & ~1) << i | blocked & ((1 << i) - 1)
+                kept = table.close(occ, i, rest if to_open else -1) if occ else occ
+                if kept is None:
+                    continue
                 key = (to_open, rest, i, False, kept)
                 nxt[key] = nxt.get(key, 0) + ways
             if to_open:
                 left_open = to_open - 1
-                kept = table.open(occ, open_arcs, left_open) if occ else occ
-                key = (left_open, blocked | after_opener << open_arcs, 0, True, kept)
-                nxt[key] = nxt.get(key, 0) + ways
+                rest = blocked | after_opener << open_arcs
+                kept = table.open(occ, open_arcs, left_open, rest if left_open else -1) if occ else occ
+                if kept is not None:
+                    key = (left_open, rest, 0, True, kept)
+                    nxt[key] = nxt.get(key, 0) + ways
         if patterns and sum(len(key[4]) for key in nxt) > MAX_HELD_OCCURRENCES:
             raise ValueError(f"n={n}: more than {MAX_HELD_OCCURRENCES} partial occurrences at one site")
         layer = nxt

@@ -14,7 +14,8 @@ transitions of one occurrence, one per kind of site.  The avoidance
 counter in `enumeration` runs the same two over every prefix at once,
 through an `_Occurrences` table: it builds the patterns' endpoint words
 and start set, interns each occurrence as an int for one pass, memoises
-its transitions, and drops those that cannot complete.  `contains` stays
+its transitions, drops those that cannot complete, and reports a prefix
+dead once one is forced to complete (`_chain_mask`).  `contains` stays
 an unmemoised scan, which beats a table built for each call: with a
 per-call `_Occurrences` table inside `contains`, `table --n-max 8` took
 2.1-2.2 s where it took 1.05-1.12 s, and `count --n-max 8 --avoid P1,P3`
@@ -230,6 +231,25 @@ def contains(m: Matching, p: Pattern) -> bool:
 _DROPPED, _COMPLETED = -1, -2
 
 
+def _chain_mask(letters: tuple[int, ...], t: int, slots: tuple[int, ...]) -> int:
+    """The `blocked` bits that force occurrence (t, slots) to complete, or -1 if none do.
+
+    Only an occurrence that needs no more openers comes here: its letters
+    from t on all close, so they fix the order in which its slot arcs must
+    close.  If that order runs up the open arcs, through arcs a < ... < b,
+    the mask holds bits a+1..b.  Bit i of `blocked` set means open arc i
+    cannot close before open arc i-1 (Type 1), so with all of them set the
+    arcs a..b close in increasing order in every completion, and so do the
+    slot arcs among them.  One closer left gives the empty mask: that arc
+    closes in every completion.  Any other order is never forced.
+    """
+    open_now = list(slots)
+    order = [open_now.pop(j) for j in letters[t:]]
+    if any(a > b for a, b in zip(order, order[1:])):
+        return -1
+    return (1 << order[-1] + 1) - (1 << order[0] + 1)
+
+
 class _Occurrences:
     """The partial occurrences of a set of patterns, interned as small ints.
 
@@ -239,7 +259,8 @@ class _Occurrences:
     index, t, slots) gets its id when first met.  `start` holds the empty
     occurrence of each pattern with at most n arcs, or is None when a
     template is empty, since every matching contains the empty pattern.
-    `openers_needed[o]` counts the openers occurrence o still needs;
+    `openers_needed[o]` counts the openers occurrence o still needs, and
+    `chain[o]` is its `_chain_mask`, or -1 while it needs openers;
     `closed[o][i]` memoises `_closed` at open arc i and `opened[o][new]`
     `_opened` at open arc `new`, each as an id, `_DROPPED` or (closed
     only) `_COMPLETED`.  The tables live only as long as the pass that
@@ -251,6 +272,7 @@ class _Occurrences:
         self.ids: dict[tuple[int, int, tuple[int, ...]], int] = {}
         self.occurrences: list[tuple[int, int, tuple[int, ...]]] = []
         self.openers_needed: list[int] = []
+        self.chain: list[int] = []
         self.closed: list[dict[int, int]] = []
         self.opened: list[dict[int, int]] = []
         start = [self.intern(i, (0, ())) for i, p in enumerate(patterns) if p.size <= n]
@@ -271,6 +293,7 @@ class _Occurrences:
             o = self.ids[key] = len(self.occurrences)
             self.occurrences.append(key)
             self.openers_needed.append(openers_left[t])
+            self.chain.append(_chain_mask(letters, t, slots) if openers_left[t] == 0 else -1)
             self.closed.append({})
             self.opened.append({})
         return o
@@ -281,9 +304,14 @@ class _Occurrences:
         step = table[o][arc] = self.intern(p, transition(self.words[p][0], t, slots, arc))
         return step
 
-    def close(self, occ: frozenset[int], i: int) -> frozenset[int] | None:
-        """The occurrences after open arc i closes, or None once one completes."""
-        closed = self.closed
+    def close(self, occ: frozenset[int], i: int, blocked: int) -> frozenset[int] | None:
+        """The occurrences after open arc i closes, or None once one completes or is forced to.
+
+        `blocked` is the state's after the step, or -1 once no arc is left
+        to open (then only open arc 0 may close, so every increasing order
+        is forced).
+        """
+        closed, chain = self.closed, self.chain
         kept = []
         for o in occ:
             try:
@@ -291,29 +319,42 @@ class _Occurrences:
             except KeyError:
                 o = self._fill(closed, _closed, o, i)
             if o >= 0:
+                m = chain[o]
+                if m >= 0 and blocked & m == m:
+                    return None
                 kept.append(o)
             elif o == _COMPLETED:
                 return None
         return frozenset(kept)
 
-    def open(self, occ: frozenset[int], new: int, left_open: int) -> frozenset[int]:
+    def open(self, occ: frozenset[int], new: int, left_open: int, blocked: int) -> frozenset[int] | None:
         """The occurrences after an arc opens as open arc `new`, given `left_open` openers to come.
 
         One that skips the new arc is dropped if it needs more openers than
-        remain, and no other prune is needed: an occurrence needs
-        2 * openers_needed + len(slots) more letters, and 2 * openers to
-        come + open arcs sites remain, so it never needs more letters than
-        sites remain; a closer changes neither count.
+        remain: an occurrence needs 2 * openers_needed + len(slots) more
+        letters, and 2 * openers to come + open arcs sites remain, so it
+        never needs more letters than sites remain; a closer changes
+        neither count.  Like `close`, it returns None once the state's
+        `blocked` after the step (-1 once no arc is left to open) forces
+        an occurrence to complete.
         """
-        opened, openers_needed = self.opened, self.openers_needed
-        kept = [o for o in occ if openers_needed[o] <= left_open]
+        opened, openers_needed, chain = self.opened, self.openers_needed, self.chain
+        kept = []
         for o in occ:
+            if openers_needed[o] <= left_open:
+                m = chain[o]
+                if m >= 0 and blocked & m == m:
+                    return None
+                kept.append(o)
             try:
                 o = opened[o][new]
             except KeyError:
                 o = self._fill(opened, _opened, o, new)
             # an occurrence that fits still fits once it takes the new arc
             if o >= 0:
+                m = chain[o]
+                if m >= 0 and blocked & m == m:
+                    return None
                 kept.append(o)
         return frozenset(kept)
 

@@ -154,7 +154,14 @@ class CheckOutcome:
         return f"{self.name}: {verdict}{suffix}"
 
 
+def _require_order(order: int) -> None:
+    """Refuse order 0: the series would hold constant terms only, equal by construction."""
+    if order < 1:
+        raise ValueError("order must be at least 1")
+
+
 def h_suite(order: int) -> list[CheckOutcome]:
+    _require_order(order)
     return [
         CheckOutcome("h-closed-forms", check_h_closed_forms(order), f"order={order}"),
         CheckOutcome(
@@ -164,6 +171,7 @@ def h_suite(order: int) -> list[CheckOutcome]:
 
 
 def f_catalan_suite(order: int) -> list[CheckOutcome]:
+    _require_order(order)
     return [CheckOutcome("f-equals-catalan", check_f_equals_catalan(order), f"order={order}")]
 
 

@@ -78,14 +78,14 @@ def test_count_one_size_as_json(capsys):
 
 
 def test_count_refuses_a_set_past_the_occurrence_budget(capsys, monkeypatch):
-    monkeypatch.setattr(enumeration, "MAX_HELD_OCCURRENCES", 41)
+    monkeypatch.setattr(enumeration, "MAX_HELD_OCCURRENCES", 39)
     code, out, err = run(capsys, "count", "--n", "6", "--avoid", "P1")
     assert code == 2
     assert out == ""
-    assert "more than 41 partial occurrences" in err
+    assert "more than 39 partial occurrences" in err
     monkeypatch.undo()
-    # every atlas pattern at once passes the budget past the walk's cap
-    code, out, err = run(capsys, "count", "--n", "12", "--avoid", "P1,P2,P3,P4,P5")
+    # P1,P2 goes past the budget at the size cap
+    code, out, err = run(capsys, "count", "--n", "14", "--avoid", "P1,P2")
     assert code == 2
     assert out == ""
     assert f"more than {enumeration.MAX_HELD_OCCURRENCES} partial occurrences" in err
@@ -392,6 +392,18 @@ def test_case_sums_report_a_broken_registry_form(capsys, monkeypatch):
     assert [line for line in out.splitlines() if "FAIL" in line] == [
         "case-sum P1,P3: FAIL (order=12)"
     ]
+
+
+@pytest.mark.parametrize("suite", ["h-eq", "f-catalan"])
+def test_series_suites_refuse_order_zero(capsys, suite):
+    # at order 0 both sides hold only their constant terms, equal by construction
+    code, out, err = run(capsys, "check", "--suite", suite, "--order", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: order must be at least 1\n"
+    code, out, _ = run(capsys, "check", "--suite", suite, "--order", "1")
+    assert code == 0
+    assert out.endswith(": PASS (order=1)\n")
 
 
 def test_fibonacci_suite_names_the_order_it_refuses(capsys):

@@ -5,7 +5,7 @@ import weakref
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stoimenow import (
     EMPTY,
@@ -122,11 +122,11 @@ def test_size_guard(monkeypatch):
 
 def test_avoidance_counter_refuses_a_layer_past_the_occurrence_budget(monkeypatch):
     p1 = parse_pattern_set("P1")
-    # P1's largest layer at n = 6 holds 42 partial occurrences
-    monkeypatch.setattr(enumeration, "MAX_HELD_OCCURRENCES", 42)
+    # P1's largest layer at n = 6 holds 40 partial occurrences
+    monkeypatch.setattr(enumeration, "MAX_HELD_OCCURRENCES", 40)
     assert count_avoiders(6, p1) == 132
-    monkeypatch.setattr(enumeration, "MAX_HELD_OCCURRENCES", 41)
-    with pytest.raises(ValueError, match="more than 41 partial occurrences"):
+    monkeypatch.setattr(enumeration, "MAX_HELD_OCCURRENCES", 39)
+    with pytest.raises(ValueError, match="more than 39 partial occurrences"):
         count_avoiders(6, p1)
     # the budget bounds only layers that hold pattern occurrences
     monkeypatch.setattr(enumeration, "MAX_HELD_OCCURRENCES", 0)
@@ -139,10 +139,14 @@ def test_avoidance_counter_refuses_a_layer_past_the_occurrence_budget(monkeypatc
 def test_occurrence_budget_refuses_twenty_random_templates():
     # twenty random four-arc templates hold far more occurrences per state
     # than any set of atlas patterns; the budget refuses them within seconds
+    # at n = 12, one arc past the largest n it counts
     templates = random.Random(5).sample(all_matchings(4), 20)
     ps = PatternSet(frozenset(Pattern(t) for t in templates))
+    # the counter without the blocked-chain prune, with the budget lifted,
+    # also counts 2,956
+    assert count_avoiders(11, ps) == 2956
     with pytest.raises(ValueError, match=f"more than {enumeration.MAX_HELD_OCCURRENCES} partial"):
-        count_avoiders(11, ps)
+        count_avoiders(12, ps)
 
 
 def test_count_avoiders_examples():
@@ -261,6 +265,9 @@ pattern_templates = st.integers(1, 4).flatmap(lambda k: st.sampled_from(all_matc
 
 @settings(deadline=None, max_examples=60)
 @given(st.lists(pattern_templates, min_size=1, max_size=4), st.integers(0, 6))
+# its last two closers run up the open arcs, which forces them only along a
+# blocked chain or once no arc is left to open
+@example([make_matching([(1, 5), (2, 4), (3, 6)])], 6)
 def test_avoidance_counter_matches_naive_filtering(templates, n):
     ps = PatternSet(frozenset(Pattern(t) for t in templates))
     expected = sum(
@@ -281,6 +288,9 @@ def test_avoidance_counter_matches_naive_filtering(templates, n):
         ("R4", 11),
         ("R5", 11),
         ("R4", 14),
+        # refused by the occurrence budget before the blocked-chain prune
+        ("P1,P2,P3,P4,P5", 12),
+        ("P1,P2,P3,P4,P5", 13),
     ],
 )
 def test_avoidance_counter_matches_closed_forms_past_the_walk(monkeypatch, name, n):

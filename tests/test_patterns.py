@@ -189,3 +189,34 @@ def test_comma_regex_splits_like_a_depth_scanner(text):
 def test_reverse_pattern_set_maps_names():
     assert reverse_pattern_set(parse_pattern_set("P1,P4")).name == "P1,P5"
     assert reverse_pattern_set(parse_pattern_set("P1,P2,P4,P5")).name == "P1,P2,P4,P5"
+
+
+def test_chain_mask_forces_an_increasing_close_order_along_a_blocked_chain():
+    p1 = registry()["P1"]
+    letters, _ = patterns._endpoint_word(p1.template)
+    assert letters == (-1, -1, 0, -1, 1, -1, 0, 0)
+    # one closer left: that arc closes in every completion, so no bit is needed
+    assert patterns._chain_mask(letters, 7, (3,)) == 0
+    # closers of open arcs 0 then 2 left: bits 1..2 chain arc 0 to arc 2
+    assert patterns._chain_mask(letters, 6, (0, 2)) == 0b110
+    # a nested close order is never forced
+    nested = make_matching([(1, 4), (2, 3)])
+    nested_letters, _ = patterns._endpoint_word(nested)
+    assert patterns._chain_mask(nested_letters, 2, (0, 1)) == -1
+
+    table = patterns._Occurrences([p1], 4)
+    last = table.intern(0, (7, (3,)))
+    # forced whatever `blocked` is, by an opener or a closer
+    assert table.open(frozenset({last}), 4, 1, 0) is None
+    assert table.close(frozenset({last}), 0, 0) is None
+    pair = table.intern(0, (6, (0, 2)))
+    for blocked in range(16):
+        kept = table.open(frozenset({pair}), 4, 1, blocked)
+        # a gap at bit 1 or bit 2 breaks the chain; bit 0 is not part of it
+        assert (kept is None) == (blocked & 0b110 == 0b110), blocked
+    # with no arc left to open only open arc 0 may close, so -1 forces any
+    # increasing order, and a nested one still is not forced
+    assert table.open(frozenset({pair}), 4, 0, -1) is None
+    table = patterns._Occurrences([Pattern(nested)], 2)
+    both = table.intern(0, (2, (0, 1)))
+    assert table.open(frozenset({both}), 2, 0, -1) == frozenset({both})
