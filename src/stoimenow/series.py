@@ -1,7 +1,10 @@
 """Exact arithmetic kernels: integer polynomials, rational generating
-functions, and truncated power series over Fraction coefficients.
+functions, and truncated power series with rational coefficients.
 
-No floating point anywhere; identity checks compare coefficients exactly.
+A truncated series is held as integer numerators over one denominator, so
+its kernels run on Python ints; a factor of degree d, such as x, 1-2x or
+(1-x)^5, costs O(order·d) in a product or a quotient.  No floating point
+anywhere; identity checks compare coefficients exactly.
 """
 
 from __future__ import annotations
@@ -9,10 +12,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
-from math import lcm
-from operator import mul
-from typing import Iterable, Union
+from math import gcd, lcm
+from operator import add, mul
+from typing import Iterable, Sequence, Union
 
 # Largest exponent Polynomial.parse accepts: the CLI orders stop at 64, and
 # a larger cap still keeps parsing bounded (x^10^9 would be a 10^9-entry list).
@@ -124,7 +128,7 @@ class Polynomial:
         if self.is_zero or other.is_zero:
             return Polynomial(())
         a, b = self.coeffs, other.coeffs
-        return Polynomial(tuple(_convolve(a, b + (0,) * (len(a) - 1), len(a) + len(b) - 2)))
+        return Polynomial(tuple(_convolve(a, b, len(a) + len(b) - 2)))
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -191,56 +195,98 @@ def gf_coefficients(f: RationalGF, order: int) -> list[int]:
 
 Scalar = Union[int, Fraction]
 
-
-def _over_common_denominator(coeffs: tuple[Fraction, ...], n: int) -> tuple[list[int], int]:
-    """Integer numerators of coeffs[0..n] over their least common denominator."""
-    head = coeffs[: n + 1]
-    den = lcm(*(c.denominator for c in head))
-    return [c.numerator * (den // c.denominator) for c in head], den
+# Operands of _convolve with at most this many terms take the row loop.  At
+# order 64 a row costs about 1/38 of the dense sums, so 32 keeps a margin.
+_DENSE = 32
 
 
-def _convolve(a: list[int], b: list[int], n: int) -> list[int]:
-    """Coefficients 0..n of the product of two integer series."""
-    rb = b[n::-1]  # rb[n - k:] is b_k, ..., b_0
-    return [sum(map(mul, a[: k + 1], rb[n - k :])) for k in range(n + 1)]
+def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Coefficients 0..n of the product of two integer polynomials.
+
+    The operands may have any length; the result stops at the product's
+    degree when that is below n.  One row per term of the shorter operand
+    costs O(n·d) for a factor of degree d; two long operands take one sum
+    per result coefficient instead, which is faster at O(n^2).
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = a[: n + 1], b[: n + 1]
+    if not b:
+        return []
+    size = min(n + 1, len(a) + len(b) - 1)
+    if len(b) > _DENSE:
+        rb = [0] * (size - len(b)) + list(b[::-1])  # rb[size - 1 - k:] is b_k, ..., b_0
+        return [sum(map(mul, a[: k + 1], rb[size - 1 - k :])) for k in range(size)]
+    out = [0] * size
+    for j, bj in enumerate(b):
+        if bj:
+            out[j : j + len(a)] = map(add, out[j : j + len(a)], map(mul, a, repeat(bj)))
+    return out
 
 
-def _ratios(nums: Iterable[int], dens: Iterable[int]) -> "PowerSeries":
-    """The series with coefficients nums[k] / dens[k], one Fraction each."""
-    return PowerSeries(tuple(map(Fraction, nums, dens)))
+def _series(nums: Sequence[int], den: int, order: int) -> "PowerSeries":
+    """The series sum nums[k] x^k / den to `order`, in canonical form."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    size = min(len(nums), order + 1)
+    while size and not nums[size - 1]:
+        size -= 1
+    nums = tuple(nums[:size])
+    if den < 0:
+        nums, den = tuple(-v for v in nums), -den
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = tuple(v // g for v in nums), den // g
+    s = object.__new__(PowerSeries)
+    vars(s).update(nums=nums, den=den, order=order)  # frozen: bypass __setattr__
+    return s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PowerSeries:
     """Truncated series with exact rational coefficients 0..order.
 
-    Binary operations truncate to the smaller operand order.  Integer and
-    Fraction scalars mix freely on either side.
+    Coefficient k is nums[k] / den, and is 0 past the end of nums.  The
+    form is canonical: nums has no trailing zero, den >= 1 and
+    gcd(den, *nums) == 1.  So equality and the hash compare the fields,
+    and a polynomial such as x or (1-x)^5 stays a few terms long at any
+    order.
 
-    The kernels (``*``, ``/``, ``sqrt``, ``**``) write each operand once as
-    integer numerators over one common denominator, run the convolution or
-    recurrence on Python ints, and build a ``Fraction`` only per result
-    coefficient: O(order) Fraction constructions instead of O(order^2)
-    Fraction operations, and still no floating point.
+    Binary operations truncate to the smaller operand order.  Integer and
+    Fraction scalars mix freely on either side.  The kernels (``+``,
+    ``*``, ``/``, ``sqrt``, ``**``) run on Python ints and end with one
+    gcd; no floating point and no Fraction is involved.  A product or a
+    quotient by a factor of degree d costs O(order·d).  ``coeffs`` builds
+    the Fractions on first read.
     """
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
+    order: int
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: Iterable[Scalar]):
+        values = tuple(coeffs)
+        if not values:
             raise ValueError("a series carries at least its constant term")
-        if type(self.coeffs) is not tuple or any(type(c) is not Fraction for c in self.coeffs):
-            object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        if any(type(c) is not int and type(c) is not Fraction for c in values):
+            values = tuple(map(Fraction, values))
+        den = lcm(*(c.denominator for c in values))
+        canonical = _series([c.numerator * (den // c.denominator) for c in values], den, len(values) - 1)
+        vars(self).update(vars(canonical))
+        if all(type(c) is Fraction for c in values):
+            vars(self)["coeffs"] = values  # the cache of the `coeffs` property
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coefficients 0..order, one Fraction each."""
+        padding = (Fraction(0),) * (self.order + 1 - len(self.nums))
+        return tuple(Fraction(v, self.den) for v in self.nums) + padding
 
     @classmethod
     def constant(cls, value: Scalar, order: int) -> "PowerSeries":
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        return cls((Fraction(value),) + (Fraction(0),) * order)
+        value = Fraction(value)
+        return _series((value.numerator,), value.denominator, order)
 
     @classmethod
     def monomial(cls, coeff: Scalar, power: int, order: int) -> "PowerSeries":
@@ -248,33 +294,31 @@ class PowerSeries:
 
     @classmethod
     def from_polynomial(cls, p: Polynomial, order: int) -> "PowerSeries":
-        return cls(tuple(Fraction(p.coefficient(k)) for k in range(order + 1)))
+        return _series(p.coeffs, 1, order)
 
     @classmethod
     def from_gf(cls, f: RationalGF, order: int) -> "PowerSeries":
-        return cls(tuple(Fraction(c) for c in gf_coefficients(f, order)))
+        return _series(gf_coefficients(f, order), 1, order)
 
     def with_order(self, order: int) -> "PowerSeries":
         """Resize: truncate, or pad with zero coefficients (no assertion implied)."""
-        if order <= self.order:
-            return PowerSeries(self.coeffs[: order + 1])
-        return PowerSeries(self.coeffs + (Fraction(0),) * (order - self.order))
+        return _series(self.nums, self.den, order)
 
     def times_x(self, k: int = 1) -> "PowerSeries":
         """Multiply by x^k at fixed order (the top k coefficients fall off)."""
         if k < 0:
             raise ValueError("the power of x must be nonnegative")
-        return PowerSeries(((Fraction(0),) * k + self.coeffs)[: self.order + 1])
+        return _series((0,) * k + self.nums, self.den, self.order)
 
     def over_x(self, k: int = 1) -> "PowerSeries":
         """Divide by x^k; the first k coefficients must vanish.  Order drops by k."""
         if k < 0:
             raise ValueError("the power of x must be nonnegative")
-        if any(self.coeffs[:k]):
+        if any(self.nums[:k]):
             raise DivByNonUnit(f"series is not divisible by x^{k}")
         if self.order < k:
             raise ValueError("order too small to divide by x^k")
-        return PowerSeries(self.coeffs[k:])
+        return _series(self.nums[k:], self.den, self.order - k)
 
     def _coerce(self, other) -> "PowerSeries | None":
         if isinstance(other, PowerSeries):
@@ -288,12 +332,20 @@ class PowerSeries:
         if rhs is None:
             return NotImplemented
         n = min(self.order, rhs.order)
-        return PowerSeries(tuple(self.coeffs[k] + rhs.coeffs[k] for k in range(n + 1)))
+        den = lcm(self.den, rhs.den)
+        a, b = self.nums[: n + 1], rhs.nums[: n + 1]
+        if self.den != den:
+            a = [v * (den // self.den) for v in a]
+        if rhs.den != den:
+            b = [v * (den // rhs.den) for v in b]
+        if len(a) < len(b):
+            a, b = b, a
+        return _series([*map(add, a, b), *a[len(b) :]], den, n)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PowerSeries(tuple(-c for c in self.coeffs))
+        return _series([-v for v in self.nums], self.den, self.order)
 
     def __sub__(self, other):
         rhs = self._coerce(other)
@@ -312,9 +364,7 @@ class PowerSeries:
         if rhs is None:
             return NotImplemented
         n = min(self.order, rhs.order)
-        a, da = _over_common_denominator(self.coeffs, n)
-        b, db = _over_common_denominator(rhs.coeffs, n)
-        return _ratios(_convolve(a, b, n), repeat(da * db))
+        return _series(_convolve(self.nums, rhs.nums, n), self.den * rhs.den, n)
 
     __rmul__ = __mul__
 
@@ -322,22 +372,20 @@ class PowerSeries:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if rhs.coeffs[0] == 0:
+        if not rhs.nums or rhs.nums[0] == 0:
             raise DivByNonUnit("divisor has zero constant term")
         n = min(self.order, rhs.order)
-        a, da = _over_common_denominator(self.coeffs, n)
-        b, db = _over_common_denominator(rhs.coeffs, n)
-        # self / rhs = (db / da) * (a / b).  With q = a / b, the integers
-        # t_k = q_k * b0^(k+1) satisfy t_k = a_k b0^k - sum_j b_j b0^(j-1) t_{k-j}.
-        b0 = b[0]
-        powers = [1]
-        for _ in range(n + 1):
-            powers.append(powers[-1] * b0)
-        scaled_b = [b[j] * powers[j - 1] for j in range(1, n + 1)]
+        a, b = self.nums[: n + 1], rhs.nums[: n + 1]
+        a += (0,) * (n + 1 - len(a))
+        # self / rhs = (rhs.den / self.den) * (a / b).  With q = a / b and
+        # p = b0^(n+1), the integers t_k = q_k * p satisfy
+        # b0 t_k = a_k p - sum_{0<j<=k} b_j t_{k-j}, so // b0 is exact.
+        b0, tail = b[0], b[1:]
+        p = b0 ** (n + 1)
         t: list[int] = []
-        for k in range(n + 1):
-            t.append(a[k] * powers[k] - sum(map(mul, scaled_b[:k], reversed(t))))
-        return _ratios((db * v for v in t), (da * p for p in powers[1:]))
+        for ak in a:
+            t.append((ak * p - sum(map(mul, tail, reversed(t)))) // b0)
+        return _series([rhs.den * v for v in t], self.den * p, n)
 
     def __rtruediv__(self, other):
         lhs = self._coerce(other)
@@ -350,35 +398,35 @@ class PowerSeries:
         if k < 0:
             raise ValueError("negative power")
         n = self.order
-        base, d = _over_common_denominator(self.coeffs, n)
-        result, rd = [1] + [0] * n, 1
+        base, d = self.nums, self.den
+        result, rd = [1], 1
         while k:
             if k & 1:
                 result, rd = _convolve(result, base, n), rd * d
             k >>= 1
             if k:
                 base, d = _convolve(base, base, n), d * d
-        return _ratios(result, repeat(rd))
+        return _series(result, rd, n)
 
     def sqrt(self) -> "PowerSeries":
         """Square root with constant term 1, coefficient by coefficient.
 
-        From s^2 = a: s_k = (a_k - sum_{0<i<k} s_i s_{k-i}) / 2.  With the
-        coefficients a_k = A_k / d over one denominator, u_k = s_k (4d)^k
-        is the k-th coefficient of sqrt(a(4dx)) = sqrt(1 + 4x G(x)) for an
-        integer series G.  sqrt(1 + 4y) = 1 + 2y - 2y^2 + 4y^3 - ... has
-        integer coefficients, so u_k is an integer and the recurrence runs
-        on ints:
+        From s^2 = a: s_k = (a_k - sum_{0<i<k} s_i s_{k-i}) / 2.  With
+        a_k = A_k / d, u_k = s_k (4d)^k is the k-th coefficient of
+        sqrt(a(4dx)) = sqrt(1 + 4x G(x)) for an integer series G.
+        sqrt(1 + 4y) = 1 + 2y - 2y^2 + 4y^3 - ... has integer coefficients,
+        so u_k is an integer and the recurrence runs on ints:
         u_k = (A_k 4^k d^(k-1) - sum_{0<i<k} u_i u_{k-i}) / 2, exactly.
+        The result is u_k (4d)^(n-k) over (4d)^n.
         """
-        if self.coeffs[0] != 1:
+        if self.nums[:1] != (self.den,):
             raise SqrtNonUnit("series square root needs constant term 1")
-        n = self.order
-        a, d = _over_common_denominator(self.coeffs, n)
+        n, d = self.order, self.den
+        a = self.nums + (0,) * (n + 1 - len(self.nums))
         scale = [1]  # scale[k] = (4d)^k
         for _ in range(n):
             scale.append(scale[-1] * 4 * d)
         u = [1]
         for k in range(1, n + 1):
             u.append((a[k] * scale[k] // d - sum(map(mul, u[1:k], u[k - 1 : 0 : -1]))) // 2)
-        return _ratios(u, scale)
+        return _series([v * scale[n - k] for k, v in enumerate(u)], scale[n], n)

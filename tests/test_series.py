@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -257,3 +258,89 @@ def test_kernels_keep_fraction_coefficients_and_reuse_them():
     x = PowerSeries.monomial(1, 1, 64)
     for series in (x * x, 1 / (2 - x), (1 - 4 * x).sqrt(), (1 - x) ** 5):
         assert exact_fractions(series)
+
+
+# Order-64 differential tests: the CLI's top order, with one operand a
+# low-degree polynomial padded with zeros (the row loop of the convolution
+# and the short division recurrence) or two long dense operands.
+
+low_degree = st.lists(scalars, min_size=1, max_size=4)
+long_lists = st.lists(scalars, min_size=33, max_size=65)
+orders = st.integers(0, 64)
+
+
+def padded(coeffs, order: int) -> PowerSeries:
+    """The polynomial with these coefficients as a series to `order`."""
+    return PowerSeries(tuple(coeffs[: order + 1]) + (0,) * (order + 1 - len(coeffs)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(long_lists, low_degree, orders)
+def test_mul_by_a_padded_polynomial_matches_reference(a, p, order):
+    dense, poly = PowerSeries(tuple(a)), padded(p, order)
+    assert dense * poly == poly * dense == ref_mul(dense, poly)
+
+
+@settings(deadline=None, max_examples=20)
+@given(long_lists, long_lists)
+def test_mul_of_two_long_series_matches_reference(a, b):
+    sa, sb = PowerSeries(tuple(a)), PowerSeries(tuple(b))
+    assert sa * sb == ref_mul(sa, sb)
+
+
+@settings(deadline=None, max_examples=40)
+@given(long_lists, nonzero_scalars, low_degree, orders)
+def test_truediv_by_a_padded_polynomial_matches_reference(a, b0, tail, order):
+    dense, poly = PowerSeries(tuple(a)), padded([b0, *tail[:3]], order)
+    assert dense / poly == ref_truediv(dense, poly)
+    if dense.coeffs[0]:
+        assert poly / dense == ref_truediv(poly, dense)
+
+
+@settings(deadline=None, max_examples=40)
+@given(low_degree, orders, st.integers(0, 7))
+def test_pow_of_a_padded_polynomial_matches_reference(p, order, k):
+    s = padded(p, order)
+    assert s**k == ref_pow(s, k)
+
+
+def test_one_series_has_one_canonical_form():
+    x = PowerSeries.monomial(1, 1, 2)
+    half = Fraction(1, 2)
+    groups = [
+        [
+            PowerSeries((half,) * 3),
+            half / (1 - x),
+            PowerSeries.constant(half, 2) + x / 2 + half * x**2 + (x - x),
+            PowerSeries((3, 3, 3)) / 6,
+            (PowerSeries((1, 1, 1, 7)) * Fraction(3, 6)).with_order(2),
+            PowerSeries((-1, -1, -1)) / -2,
+        ],
+        [PowerSeries((half, 0, 0)), PowerSeries.constant(half, 2) + (x - x), (1 + x).times_x(2) / 2 + half - x**2 / 2],
+        [PowerSeries.constant(0, 2), x - x, (x / 3).times_x(2), PowerSeries((Fraction(0),) * 3)],
+    ]
+    for group in groups:
+        assert len(set(group)) == 1
+        assert len({hash(s) for s in group}) == 1
+        for s in group:
+            assert s == group[0] and s.order == 2
+            assert s.den >= 1 and math.gcd(s.den, *s.nums) == 1
+            assert not s.nums or s.nums[-1] != 0
+    assert groups[0][0].den == 2 and groups[2][0].nums == () and groups[2][0].den == 1
+    assert len({group[0] for group in groups}) == len(groups)
+
+
+@settings(deadline=None)
+@given(coefficient_lists, nonzero_scalars, coefficient_lists, st.integers(0, 4))
+def test_every_kernel_result_reads_as_fractions(a, b0, b_tail, k):
+    sa, sb = PowerSeries(tuple(a)), PowerSeries((b0, *b_tail))
+    x = PowerSeries.monomial(1, 1, sa.order)
+    results = [
+        sa + sb, sa - sb, -sa, 2 - sa, sa * sb, sa / sb, Fraction(1, 3) / sb, sa**k,
+        (1 + x * sa).sqrt(), sa.times_x(k), sa.times_x(k).over_x(min(k, sa.order)),
+        sa.with_order(sa.order + k), PowerSeries.from_polynomial(Polynomial.parse("1-2x"), k),
+    ]
+    for s in results:
+        assert exact_fractions(s)
+        assert len(s.coeffs) == s.order + 1
+        assert s == PowerSeries(s.coeffs)
