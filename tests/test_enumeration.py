@@ -68,6 +68,26 @@ def test_emission_order_matches_recursive_reference():
         assert _pairs(enumerate_stoimenow(n)) == list(recursive_completions(n)), n
 
 
+def test_two_interleaved_walks_each_match_the_recursive_reference():
+    # each walk owns its rank and arc lists, and a leaf is a copy of them:
+    # a walk one leaf ahead of the other must not change the other's leaves,
+    # and no later leaf may change an earlier one
+    for n in range(8):
+        first, second = enumeration.completions(n), enumeration.completions(n)
+        left, right = [next(first)], []
+        for a, b in zip(first, second):
+            left.append(a)
+            right.append(b)
+        right.extend(second)
+        assert _pairs(left) == _pairs(right) == list(recursive_completions(n)), n
+
+
+def test_one_walk_shares_one_arc_per_opener_and_closer():
+    # `format_arcs` is cheap on `gen` because each shared Arc caches its text
+    arcs = [a for m in enumeration.completions(7) for a in m.arcs]
+    assert len({id(a) for a in arcs}) == len({(a.opener, a.closer) for a in arcs})
+
+
 def test_emitted_matchings_are_stoimenow_and_distinct():
     for n in range(7):
         seen = list(enumerate_stoimenow(n))
