@@ -3,17 +3,20 @@
 The arcs-to-poset map orders arc i below arc j exactly when arc i closes
 before arc j opens, so the image is an interval order, that is, a
 (2+2)-free poset (Fishburn 1970).  The three named four-element posets
-screened for are (2+2), (3+1), and N.  `interval_type`, the sorted
-(down-set size, up-set size) pairs, tells interval orders apart up to
-isomorphism, so it is what `verify.omega_suite` compares to show the map
-injective.
+screened for are (2+2), (3+1), and N.  `Poset.induced_shapes` names
+those that a poset's 4-subsets induce, reading each subset's 12-bit code
+(two bits, "below" and "above", per pair) once per poset against one
+table of the named posets' relabelings, and `poset_contains` looks a
+name up in it.  `interval_type`, the sorted (down-set size, up-set
+size) pairs, tells interval orders apart up to isomorphism, so it is
+what `verify.omega_suite` compares to show the map injective.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
+from functools import cached_property
 from itertools import combinations, permutations
 
 from .matching import Matching
@@ -35,6 +38,29 @@ class Poset:
 
     size: int
     less: tuple[tuple[bool, ...], ...]
+
+    @cached_property
+    def induced_shapes(self) -> frozenset[str]:
+        """The named forbidden posets that some 4-subset induces, found once per Poset.
+
+        One pass over a < b < c < d ORs each subset's code out of two-bit
+        pair codes; the distinct codes are then looked up in the table.
+        """
+        n = self.size
+        less = self.less
+        pair = [[less[x][y] | less[y][x] << 1 for y in range(n)] for x in range(n)]
+        codes = set()
+        for a in range(n):
+            pa = pair[a]
+            for b in range(a + 1, n):
+                pb = pair[b]
+                ab = pa[b]
+                for c in range(b + 1, n):
+                    pc = pair[c]
+                    abc = ab | pa[c] << 2 | pb[c] << 6
+                    for d in range(c + 1, n):
+                        codes.add(abc | pa[d] << 4 | pb[d] << 8 | pc[d] << 10)
+        return frozenset(_SHAPE_OF_CODE[code] for code in codes if code in _SHAPE_OF_CODE)
 
 
 def poset_from_relations(size: int, relations: list[tuple[int, int]]) -> Poset:
@@ -76,31 +102,35 @@ _FORBIDDEN_RELATIONS = {
 }
 
 
-@cache
-def _forbidden_orbit(name: str) -> frozenset[frozenset[tuple[int, int]]]:
-    # All relabelings of the named 4-element poset, as relation-pair sets.
-    if name not in _FORBIDDEN_RELATIONS:
-        raise UnknownForbiddenPoset(f"no forbidden poset named {name!r}")
-    base = _FORBIDDEN_RELATIONS[name]
-    orbit = set()
-    for perm in permutations(range(4)):
-        orbit.add(frozenset((perm[i], perm[j]) for i, j in base))
-    return frozenset(orbit)
+def _shape_table() -> dict[int, str]:
+    # Four elements at sorted positions 0..3 induce a 12-bit code: pair k
+    # of combinations(range(4), 2) gives bit 2k when its first element
+    # lies below its second, and bit 2k + 1 when it lies above.  Every
+    # relabeling of a named poset is one code, and the three names share
+    # none (60 codes in all).
+    bit = {}
+    for k, (x, y) in enumerate(combinations(range(4), 2)):
+        bit[x, y] = 1 << 2 * k
+        bit[y, x] = 2 << 2 * k
+    return {
+        sum(bit[perm[i], perm[j]] for i, j in base): name
+        for name, base in _FORBIDDEN_RELATIONS.items()
+        for perm in permutations(range(4))
+    }
+
+
+_SHAPE_OF_CODE = _shape_table()
 
 
 def poset_contains(p: Poset, name: str) -> bool:
-    """True iff some 4-element subset induces exactly the named poset."""
-    orbit = _forbidden_orbit(name)
-    for subset in combinations(range(p.size), 4):
-        rels = frozenset(
-            (a, b)
-            for a in range(4)
-            for b in range(4)
-            if p.less[subset[a]][subset[b]]
-        )
-        if rels in orbit:
-            return True
-    return False
+    """True iff some 4-element subset induces exactly the named poset.
+
+    A lookup in `p.induced_shapes`, so the three names together cost one
+    pass over the 4-subsets of p.
+    """
+    if name not in _FORBIDDEN_RELATIONS:
+        raise UnknownForbiddenPoset(f"no forbidden poset named {name!r}")
+    return name in p.induced_shapes
 
 
 def cover_relations(p: Poset) -> list[tuple[int, int]]:

@@ -264,7 +264,9 @@ def bijection_suite(n_max: int = 6) -> list[CheckOutcome]:
 def omega_suite(n_max: int = 6) -> list[CheckOutcome]:
     """Interval-order image, the two avoidance equivalences, and injectivity.
 
-    One pass over M_n per n computes each `omega(m)` once.  The images of
+    One pass over M_n per n computes each `omega(m)` once, and the three
+    `poset_contains` calls on it read one `induced_shapes` set, so each
+    image's 4-subsets are coded once, not once per name.  The images of
     M_n are pairwise non-isomorphic when their `interval_type`s differ,
     for the type is an isomorphism invariant; and as it is complete on
     the (2+2)-free images, which `poset_contains` checks independently,
@@ -311,11 +313,11 @@ _RUNNERS = {
 }
 SUITES = (*_RUNNERS, "all")
 # The suites that list matchings up to n_max refuse larger values.  omega
-# walks every matching: about 2.2 s at n_max 8 on a 2-core host, and each
-# further arc multiplies the walk by about 7.  bijections builds every
-# P2-avoider (Catalan-many) and every a/b string (2^(n-1)-many): about
-# 0.25 s at 8 and 1.2 s at 9.  The others ignore n_max, which still has
-# to lie in 1..MAX_ARCS.
+# walks every matching: about 1.0 s at n_max 8 on a 2-core host, over half
+# of it in `contains`, and each further arc multiplies the walk by about
+# 7.  bijections builds every P2-avoider (Catalan-many) and every a/b
+# string (2^(n-1)-many): about 0.25 s at 8 and 1.2 s at 9.  The others
+# ignore n_max, which still has to lie in 1..MAX_ARCS.
 MAX_CHECK_WALK_ARCS = 8
 WALKING_SUITES = ("omega", "bijections", "all")
 

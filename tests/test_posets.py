@@ -1,3 +1,4 @@
+from dataclasses import fields
 from functools import cache
 from itertools import permutations
 
@@ -16,9 +17,9 @@ from stoimenow import (
     poset_contains,
     registry,
 )
-from stoimenow.posets import poset_from_relations, poset_to_json
+from stoimenow.posets import Poset, poset_from_relations, poset_to_json
 from stoimenow.verify import omega_suite
-from util import brute_canonical_form
+from util import NAIVE_FORBIDDEN_RELATIONS, brute_canonical_form, naive_poset_contains
 
 
 def chain(n):
@@ -87,9 +88,35 @@ def test_forbidden_poset_detection():
     assert not poset_contains(chain(3), "2+2")  # fewer than four elements
 
 
+def test_each_named_poset_induces_exactly_itself():
+    for name, relations in NAIVE_FORBIDDEN_RELATIONS.items():
+        assert poset_from_relations(4, relations).induced_shapes == {name}
+
+
 def test_unknown_forbidden_poset():
+    # refused by name alone: on small posets too, and before any shape set
+    # is computed (the refusal computes none)
+    for p in (chain(4), chain(3), antichain(0)):
+        assert "induced_shapes" not in vars(p)
+        with pytest.raises(UnknownForbiddenPoset):
+            poset_contains(p, "M")
+        assert "induced_shapes" not in vars(p)
+    p = chain(4)
+    assert not poset_contains(p, "N")
     with pytest.raises(UnknownForbiddenPoset):
-        poset_contains(chain(4), "M")
+        poset_contains(p, "2+1")
+
+
+def test_cached_shapes_leave_equality_hash_json_and_fields_alone():
+    n_poset = poset_from_relations(4, [(0, 2), (0, 3), (1, 3)])
+    assert poset_contains(n_poset, "N")
+    assert "induced_shapes" in vars(n_poset)
+    fresh = Poset(n_poset.size, n_poset.less)
+    assert "induced_shapes" not in vars(fresh)
+    assert n_poset == fresh and hash(n_poset) == hash(fresh)
+    assert poset_to_json(n_poset) == poset_to_json(fresh)
+    assert repr(n_poset) == repr(fresh)
+    assert [f.name for f in fields(n_poset)] == ["size", "less"]
 
 
 def test_cover_relations():
@@ -151,6 +178,20 @@ def isomorphism_class(p):
 def small_posets_with_classes():
     """Every labelled poset on at most 5 elements, with its isomorphism class."""
     return [(p, isomorphism_class(p)) for n in range(6) for p in labelled_posets(n)]
+
+
+def test_poset_contains_matches_the_orbit_oracle_on_small_posets():
+    for p, _ in small_posets_with_classes():
+        for name in NAIVE_FORBIDDEN_RELATIONS:
+            assert poset_contains(p, name) == naive_poset_contains(p, name), (p, name)
+
+
+def test_poset_contains_matches_the_orbit_oracle_on_omega_images():
+    for n in range(8):
+        for m in enumerate_stoimenow(n):
+            image = omega(m)
+            for name in NAIVE_FORBIDDEN_RELATIONS:
+                assert poset_contains(image, name) == naive_poset_contains(image, name), (m, name)
 
 
 def test_interval_type_is_complete_on_interval_orders():

@@ -4,7 +4,9 @@ These stay deliberately naive and independent of the library's pruned
 search paths: full enumeration of all perfect matchings, a template scan
 over arc pairs, unpruned subset enumeration for containment, per-term
 Fraction loops for the series kernels, the all-permutations canonical
-form of a poset, and a parenthesis-depth scanner for pattern-set text.
+form of a poset, an induced-subposet test against every relabeling of
+the forbidden poset, and a parenthesis-depth scanner for pattern-set
+text.
 """
 
 from fractions import Fraction
@@ -138,6 +140,26 @@ def brute_canonical_form(p: Poset) -> tuple[tuple[int, int], ...]:
         if best is None or rels < best:
             best = rels
     return best
+
+
+NAIVE_FORBIDDEN_RELATIONS = {
+    "2+2": [(0, 1), (2, 3)],
+    "3+1": [(0, 1), (0, 2), (1, 2)],
+    "N": [(0, 2), (0, 3), (1, 3)],
+}
+
+
+def naive_poset_contains(p: Poset, name: str) -> bool:
+    """Compare each 4-subset's relation-pair set with every relabeling of the named poset."""
+    base = NAIVE_FORBIDDEN_RELATIONS[name]
+    orbit = {frozenset((perm[i], perm[j]) for i, j in base) for perm in permutations(range(4))}
+    for subset in combinations(range(p.size), 4):
+        rels = frozenset(
+            (a, b) for a in range(4) for b in range(4) if p.less[subset[a]][subset[b]]
+        )
+        if rels in orbit:
+            return True
+    return False
 
 
 def split_top_level(text: str) -> list[str]:
