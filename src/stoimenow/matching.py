@@ -62,12 +62,14 @@ EMPTY = Matching(())
 def make_matching(pairs: Iterable[tuple[int, int]]) -> Matching:
     """Validate `pairs` and return the canonical Matching.
 
-    Raises InvertedArc if some pair has opener >= closer, and
-    NotPerfectMatching if the endpoints are not {1..2n} each used once.
+    Raises TypeError if an endpoint is not an int, InvertedArc if some
+    pair has opener >= closer, and NotPerfectMatching if the endpoints are
+    not {1..2n} each used once.
     """
     arcs = []
     for opener, closer in pairs:
-        opener, closer = int(opener), int(closer)
+        if type(opener) is not int or type(closer) is not int:
+            raise TypeError(f"arc endpoints must be int: ({opener!r},{closer!r})")
         if opener >= closer:
             raise InvertedArc(f"arc ({opener},{closer}) has opener >= closer")
         arcs.append(Arc(opener, closer))

@@ -3,8 +3,15 @@ functions, and truncated power series with rational coefficients.
 
 A truncated series is held as integer numerators over one denominator, so
 its kernels run on Python ints; a factor of degree d, such as x, 1-2x or
-(1-x)^5, costs O(order·d) in a product or a quotient.  No floating point
-anywhere; identity checks compare coefficients exactly.
+(1-x)^5, costs O(order·d) in a product or a quotient.  Each operation has
+one integer kernel, shared by ``Polynomial`` and ``PowerSeries``: ``_add``
+sums, ``_convolve`` multiplies, ``_power`` raises to a power by
+square-and-multiply, and the fraction-free recurrence of
+``PowerSeries.__truediv__`` divides, which is also how ``gf_coefficients``
+expands a closed form.  Scalars are exact: a polynomial coefficient is an
+``int``, a series scalar an ``int`` or a ``Fraction``, and any other type
+(``bool``, ``float`` and ``str`` included) raises ``TypeError``.  No
+floating point anywhere; identity checks compare coefficients exactly.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul
@@ -37,24 +44,27 @@ class SqrtNonUnit(ValueError):
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Integer polynomial; coeffs[k] is the degree-k coefficient.
+    """Integer polynomial; coeffs[k] is the degree-k coefficient, an int.
 
     Canonical form: no trailing zero coefficient; the zero polynomial is
-    the empty tuple.
+    the empty tuple.  A coefficient of any other type raises TypeError.
     """
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(type(c) is int for c in self.coeffs):
+            raise TypeError(f"polynomial coefficients must be int: {self.coeffs!r}")
         if self.coeffs and self.coeffs[-1] == 0:
             raise ValueError("trailing zero coefficient; use Polynomial.from_coeffs")
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[int]) -> "Polynomial":
         values = list(coeffs)
-        while values and values[-1] == 0:
+        # only int zeros are trimmed, so a trailing 0.0 reaches the type check
+        while values and type(values[-1]) is int and values[-1] == 0:
             values.pop()
-        return cls(tuple(int(v) for v in values))
+        return cls(tuple(values))
 
     @classmethod
     def parse(cls, text: str) -> "Polynomial":
@@ -113,10 +123,7 @@ class Polynomial:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        size = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial.from_coeffs(
-            self.coefficient(k) + other.coefficient(k) for k in range(size)
-        )
+        return Polynomial.from_coeffs(_add(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(tuple(-c for c in self.coeffs))
@@ -125,18 +132,12 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero or other.is_zero:
-            return Polynomial(())
         a, b = self.coeffs, other.coeffs
         return Polynomial(tuple(_convolve(a, b, len(a) + len(b) - 2)))
 
     def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        result = Polynomial((1,))
-        for _ in range(k):
-            result = result * self
-        return result
+        # k·len(coeffs) bounds the degree; _convolve stops at the true one
+        return Polynomial(tuple(_power(self.coeffs, k, k * len(self.coeffs))))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -180,17 +181,14 @@ class RationalGF:
 
 
 def gf_coefficients(f: RationalGF, order: int) -> list[int]:
-    """Expand f to a_0..a_order via the linear recurrence read off the denominator."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    den = f.denominator.coeffs
-    out: list[int] = []
-    for n in range(order + 1):
-        value = f.numerator.coefficient(n)
-        for k in range(1, min(n, len(den) - 1) + 1):
-            value -= den[k] * out[n - k]
-        out.append(value)
-    return out
+    """Expand f to a_0..a_order: the numerator divided by the denominator.
+
+    The division is ``PowerSeries.__truediv__``'s fraction-free recurrence.
+    It is exact on ints: the denominator's constant term is 1, so the
+    recurrence's scale is 1 and its numerators are the coefficients.
+    """
+    nums = PowerSeries.from_gf(f, order).nums
+    return [*nums, *repeat(0, order + 1 - len(nums))]
 
 
 Scalar = Union[int, Fraction]
@@ -224,6 +222,50 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     return out
 
 
+def _add(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Termwise sum of two integer coefficient lists of any lengths."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [*map(add, a, b), *a[len(b) :]]
+
+
+def _power(base: Sequence[int], k: int, n: int) -> Sequence[int]:
+    """Coefficients 0..n of base^k, by square-and-multiply on _convolve."""
+    if k < 0:
+        raise ValueError("negative power")
+    result: Sequence[int] = [1]
+    while k:
+        if k & 1:
+            result = _convolve(result, base, n)
+        k >>= 1
+        if k:
+            base = _convolve(base, base, n)
+    return result
+
+
+def _exact(value) -> bool:
+    """A series scalar is an int or a Fraction; a bool is neither."""
+    return type(value) is int or type(value) is Fraction
+
+
+def _coerced(op):
+    """The binary operator `op` with its other operand as a PowerSeries.
+
+    An int or Fraction becomes a constant series of self's order; any
+    other type gives NotImplemented, so Python raises TypeError.
+    """
+
+    @wraps(op)
+    def method(self, other):
+        if not isinstance(other, PowerSeries):
+            if not _exact(other):
+                return NotImplemented
+            other = PowerSeries.constant(other, self.order)
+        return op(self, other)
+
+    return method
+
+
 def _series(nums: Sequence[int], den: int, order: int) -> "PowerSeries":
     """The series sum nums[k] x^k / den to `order`, in canonical form."""
     if order < 0:
@@ -253,12 +295,15 @@ class PowerSeries:
     and a polynomial such as x or (1-x)^5 stays a few terms long at any
     order.
 
-    Binary operations truncate to the smaller operand order.  Integer and
-    Fraction scalars mix freely on either side.  The kernels (``+``,
-    ``*``, ``/``, ``sqrt``, ``**``) run on Python ints and end with one
-    gcd; no floating point and no Fraction is involved.  A product or a
-    quotient by a factor of degree d costs O(order·d).  ``coeffs`` builds
-    the Fractions on first read.
+    Binary operations truncate to the smaller operand order.  Scalars,
+    as coefficients or as operands on either side of ``+ - * /``, are
+    int or Fraction; any other type raises TypeError.  The kernels run on
+    Python ints and end with one gcd; no floating point and no Fraction
+    is involved: ``+`` and ``-`` on ``_add``, ``*`` on ``_convolve``,
+    ``**`` on ``_power``, ``/`` by a fraction-free recurrence (also
+    ``from_gf``'s), ``sqrt`` by its own.  A product or a quotient by a
+    factor of degree d costs O(order·d).  ``coeffs`` builds the Fractions
+    on first read.
     """
 
     nums: tuple[int, ...]
@@ -269,8 +314,8 @@ class PowerSeries:
         values = tuple(coeffs)
         if not values:
             raise ValueError("a series carries at least its constant term")
-        if any(type(c) is not int and type(c) is not Fraction for c in values):
-            values = tuple(map(Fraction, values))
+        if not all(map(_exact, values)):
+            raise TypeError(f"series coefficients must be int or Fraction: {values!r}")
         den = lcm(*(c.denominator for c in values))
         canonical = _series([c.numerator * (den // c.denominator) for c in values], den, len(values) - 1)
         vars(self).update(vars(canonical))
@@ -285,7 +330,8 @@ class PowerSeries:
 
     @classmethod
     def constant(cls, value: Scalar, order: int) -> "PowerSeries":
-        value = Fraction(value)
+        if not _exact(value):
+            raise TypeError(f"a series scalar must be int or Fraction: {value!r}")
         return _series((value.numerator,), value.denominator, order)
 
     @classmethod
@@ -298,7 +344,7 @@ class PowerSeries:
 
     @classmethod
     def from_gf(cls, f: RationalGF, order: int) -> "PowerSeries":
-        return _series(gf_coefficients(f, order), 1, order)
+        return cls.from_polynomial(f.numerator, order) / cls.from_polynomial(f.denominator, order)
 
     def with_order(self, order: int) -> "PowerSeries":
         """Resize: truncate, or pad with zero coefficients (no assertion implied)."""
@@ -320,17 +366,8 @@ class PowerSeries:
             raise ValueError("order too small to divide by x^k")
         return _series(self.nums[k:], self.den, self.order - k)
 
-    def _coerce(self, other) -> "PowerSeries | None":
-        if isinstance(other, PowerSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PowerSeries.constant(other, self.order)
-        return None
-
-    def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
+    @_coerced
+    def __add__(self, rhs):
         n = min(self.order, rhs.order)
         den = lcm(self.den, rhs.den)
         a, b = self.nums[: n + 1], rhs.nums[: n + 1]
@@ -338,40 +375,30 @@ class PowerSeries:
             a = [v * (den // self.den) for v in a]
         if rhs.den != den:
             b = [v * (den // rhs.den) for v in b]
-        if len(a) < len(b):
-            a, b = b, a
-        return _series([*map(add, a, b), *a[len(b) :]], den, n)
+        return _series(_add(a, b), den, n)
 
     __radd__ = __add__
 
     def __neg__(self):
         return _series([-v for v in self.nums], self.den, self.order)
 
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
+    @_coerced
+    def __sub__(self, rhs):
         return self + (-rhs)
 
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
+    @_coerced
+    def __rsub__(self, lhs):
+        return lhs + (-self)
 
-    def __mul__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
+    @_coerced
+    def __mul__(self, rhs):
         n = min(self.order, rhs.order)
         return _series(_convolve(self.nums, rhs.nums, n), self.den * rhs.den, n)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
+    @_coerced
+    def __truediv__(self, rhs):
         if not rhs.nums or rhs.nums[0] == 0:
             raise DivByNonUnit("divisor has zero constant term")
         n = min(self.order, rhs.order)
@@ -387,26 +414,12 @@ class PowerSeries:
             t.append((ak * p - sum(map(mul, tail, reversed(t)))) // b0)
         return _series([rhs.den * v for v in t], self.den * p, n)
 
-    def __rtruediv__(self, other):
-        lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
+    @_coerced
+    def __rtruediv__(self, lhs):
         return lhs / self
 
     def __pow__(self, k: int):
-        """Square-and-multiply on the integer numerators."""
-        if k < 0:
-            raise ValueError("negative power")
-        n = self.order
-        base, d = self.nums, self.den
-        result, rd = [1], 1
-        while k:
-            if k & 1:
-                result, rd = _convolve(result, base, n), rd * d
-            k >>= 1
-            if k:
-                base, d = _convolve(base, base, n), d * d
-        return _series(result, rd, n)
+        return _series(_power(self.nums, k, self.order), self.den**k, self.order)
 
     def sqrt(self) -> "PowerSeries":
         """Square root with constant term 1, coefficient by coefficient.

@@ -58,6 +58,14 @@ def test_make_matching_rejects_gaps():
         make_matching([(1, 5), (2, 3)])
 
 
+@pytest.mark.parametrize(
+    "pairs", [[(1.9, 2.2)], [(1.0, 2)], [("1", "2")], [(True, 2)], [(1, 2), (3, 4.0)]]
+)
+def test_make_matching_refuses_non_int_endpoints(pairs):
+    with pytest.raises(TypeError):
+        make_matching(pairs)
+
+
 def test_arc_list_format_round_trip():
     text = "(1,4)(2,5)(3,8)(6,9)(7,10)"
     assert format_arcs(M1) == text

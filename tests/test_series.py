@@ -1,8 +1,9 @@
 import math
 from fractions import Fraction
+from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stoimenow import (
     DivByNonUnit,
@@ -70,6 +71,28 @@ def test_polynomial_arithmetic():
     assert (one_minus_x - one_minus_x).is_zero
     assert Polynomial.from_coeffs([1, 2, 0, 0]).coeffs == (1, 2)
     assert Polynomial.parse("x") + Polynomial.parse("-x") == Polynomial(())
+    zero = Polynomial(())
+    assert zero * cubic == cubic * zero == zero == zero**3
+    assert zero**0 == Polynomial((1,)) == cubic**0
+    for base in (zero, cubic, PowerSeries.constant(1, 3)):
+        with pytest.raises(ValueError, match="negative power"):
+            base**-1
+
+
+int_polynomials = st.lists(st.integers(-6, 6), max_size=6).map(Polynomial.from_coeffs)
+
+
+@settings(deadline=None)
+@given(int_polynomials, int_polynomials, st.integers(0, 6))
+@example(Polynomial(()), Polynomial((1, -1)), 0)
+@example(Polynomial((1, -1)), Polynomial(()), 6)
+def test_polynomial_kernels_match_reference(p, q, k):
+    # degree <= 5, so every result fits in order 30 and nothing is truncated
+    sp, sq = (PowerSeries.from_polynomial(r, 30) for r in (p, q))
+    assert PowerSeries.from_polynomial(p + q, 30) == PowerSeries(tuple(map(add, sp.coeffs, sq.coeffs)))
+    assert PowerSeries.from_polynomial(p - q, 30) == sp - sq
+    assert PowerSeries.from_polynomial(p * q, 30) == ref_mul(sp, sq)
+    assert PowerSeries.from_polynomial(p**k, 30) == ref_pow(sp, k) == sp**k
 
 
 def test_rational_gf_normalization():
@@ -90,6 +113,11 @@ def test_gf_coefficients_examples():
     assert gf_coefficients(gf_registry()["P1,P3,P4"], 9) == [
         1, 1, 2, 5, 12, 26, 52, 99, 184, 340,
     ]
+    assert gf_coefficients(f, 0) == [1]
+    assert gf_coefficients(RationalGF(Polynomial(()), Polynomial.parse("1-x")), 3) == [0] * 4
+    for bad in (lambda: gf_coefficients(f, -1), lambda: PowerSeries.from_gf(f, -1)):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            bad()
 
 
 def test_gf_recurrence_soundness():
@@ -144,6 +172,52 @@ def test_series_refuse_negative_sizes_and_shifts():
     # a zero shift and a power past the order still work
     assert x.times_x(0) == x == x.over_x(0)
     assert PowerSeries.monomial(1, 5, 4) == PowerSeries.constant(0, 4)
+
+
+def test_series_operators_take_int_and_fraction_operands_only():
+    x = PowerSeries.monomial(1, 1, 4)
+    s = 1 - x
+    for bad in (
+        lambda: s + 0.5,
+        lambda: 0.5 * s,
+        lambda: s / "x",
+        lambda: "1" - s,
+        lambda: s - True,
+        lambda: True / s,
+        lambda: s * Polynomial((1,)),
+    ):
+        with pytest.raises(TypeError):
+            bad()
+    assert 2 - s == 1 + x
+    assert 1 / s == PowerSeries((1,) * 5)
+    assert Fraction(1, 2) * s == s / 2 == PowerSeries((Fraction(1, 2), Fraction(-1, 2), 0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Polynomial((1, 0.5)),
+        lambda: Polynomial((True,)),
+        lambda: Polynomial.from_coeffs([1, 1.9]),
+        lambda: Polynomial.from_coeffs([1, 0.5]),
+        lambda: Polynomial.from_coeffs([1, 0.0]),
+        lambda: PowerSeries((1, 0.1)),
+        lambda: PowerSeries(("1/3", 1)),
+        lambda: PowerSeries((True, 1)),
+        lambda: PowerSeries.constant(0.1, 2),
+        lambda: PowerSeries.constant("1/3", 2),
+        lambda: PowerSeries.constant(True, 2),
+        lambda: PowerSeries.monomial(0.5, 1, 2),
+    ],
+    ids=[
+        "poly-float", "poly-bool", "from_coeffs-1.9", "from_coeffs-0.5", "from_coeffs-0.0",
+        "series-float", "series-str", "series-bool", "constant-float", "constant-str",
+        "constant-bool", "monomial-float",
+    ],
+)
+def test_inexact_scalars_raise_type_error(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_series_sqrt_example():
