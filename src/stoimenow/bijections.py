@@ -74,10 +74,20 @@ def glue(m1: Matching, m2: Matching) -> Matching:
     """Combine two P2-avoiders into one with |m1| + |m2| + 1 arcs.
 
     m1 gains a reduction arc and m2 is appended to its right; splitting the
-    result returns (m1, m2) exactly.
+    result returns (m1, m2) exactly.  Both operands are checked first, and
+    `_glue` does the rest.
     """
     _require_p2_avoider(m1, "first operand")
     _require_p2_avoider(m2, "second operand")
+    return _glue(m1, m2)
+
+
+def _glue(m1: Matching, m2: Matching) -> Matching:
+    """`glue` for operands already known to be P2-avoiders; checks nothing.
+
+    `verify.bijection_suite` calls it on earlier glue images, each of which
+    `split` has already checked.
+    """
     head = _with_reduction_arc(m1)
     shift = 2 * head.n
     arcs = head.arcs + tuple(Arc(a.opener + shift, a.closer + shift) for a in m2.arcs)

@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass
 from itertools import product
 
-from .bijections import glue, matching_to_string, split, string_to_matching
+from .bijections import _glue, glue, matching_to_string, split, string_to_matching
 from .enumeration import MAX_ARCS, count_avoiders, count_table, enumerate_stoimenow
 from .identities import (
     check_case_sums,
@@ -22,7 +22,9 @@ from .identities import (
     multi_avoidance_rows,
 )
 from .matching import EMPTY, parse_arcs
-from .patterns import contains, parse_pattern_set, registry
+from .patterns import PatternSet, parse_pattern_set, registry
+# Uncalled here: bench/test_bench_harness.py asserts `verify.contains is enumeration.contains`.
+from .patterns import contains
 from .posets import interval_type, omega, poset_contains
 
 REPORT_SCHEMA = 1
@@ -193,10 +195,13 @@ def bijection_suite(n_max: int = 6) -> list[CheckOutcome]:
     of smaller ones, and both round trips run on each image.  `split`
     refuses any image that is not a P2-avoider, and splitting returns each
     pair, so the images are distinct P2-avoiders; as they number
-    `count_avoiders(n, P2)`, glue is onto.  Likewise `matching_to_string`
-    refuses any string image that is not an R4-avoider and decodes each
-    image to its own string, so the 2^(n-1) images are distinct, and they
-    must number `count_avoiders(n, R4)`.
+    `count_avoiders(n, P2)`, glue is onto.  Every operand is `EMPTY` or an
+    earlier image, which `split` has checked once already, so the round
+    trips glue with the unchecking `_glue`; the worked example goes
+    through `glue`.  Likewise `matching_to_string` refuses any string
+    image that is not an R4-avoider and decodes each image to its own
+    string, so the 2^(n-1) images are distinct, and they must number
+    `count_avoiders(n, R4)`.
     """
     outcomes = []
 
@@ -208,11 +213,11 @@ def bijection_suite(n_max: int = 6) -> list[CheckOutcome]:
         images = []
         for n1 in range(n):
             for m1, m2 in product(avoiders[n1], avoiders[n - 1 - n1]):
-                glued = glue(m1, m2)
+                glued = _glue(m1, m2)
                 halves = split(glued)
                 if glued.n != n or halves != (m1, m2):
                     glue_ok = False
-                if glue(*halves) != glued:
+                if _glue(*halves) != glued:
                     split_ok = False
                 images.append(glued)
         if len(images) != count_avoiders(n, p2):
@@ -264,6 +269,15 @@ def bijection_suite(n_max: int = 6) -> list[CheckOutcome]:
 def omega_suite(n_max: int = 6) -> list[CheckOutcome]:
     """Interval-order image, the two avoidance equivalences, and injectivity.
 
+    `omega` relates two arcs by their four endpoints only, so the image of
+    a sub-matching is the subposet that `omega(m)` induces on its arcs, and
+    an occurrence of P in m makes `omega(m)` induce `omega(P)`.  The suite
+    checks once that `omega(P1)` contains a 3+1 and `omega(P2)` an N;
+    then every matching with a 3+1-free image avoids P1, and every one
+    with an N-free image avoids P2.  Per n it counts those images and
+    compares each count with `count_avoiders`: a subset as large as the
+    set is the set, so no matching is tested with `contains`.
+
     One pass over M_n per n computes each `omega(m)` once, and the three
     `poset_contains` calls on it read one `induced_shapes` set, so each
     image's 4-subsets are coded once, not once per name.  The images of
@@ -275,22 +289,25 @@ def omega_suite(n_max: int = 6) -> list[CheckOutcome]:
     p1 = registry()["P1"]
     p2 = registry()["P2"]
     free_ok = True
-    three_one_ok = True
-    n_ok = True
+    three_one_ok = poset_contains(omega(p1.template), "3+1")
+    n_ok = poset_contains(omega(p2.template), "N")
     injective = True
     total = 0
     for n in range(n_max + 1):
         types = []
+        three_one_free = n_free = 0
         for m in enumerate_stoimenow(n):
             pos = omega(m)
             total += 1
             if poset_contains(pos, "2+2"):
                 free_ok = False
-            if contains(m, p1) != poset_contains(pos, "3+1"):
-                three_one_ok = False
-            if contains(m, p2) != poset_contains(pos, "N"):
-                n_ok = False
+            three_one_free += not poset_contains(pos, "3+1")
+            n_free += not poset_contains(pos, "N")
             types.append(interval_type(pos))
+        if three_one_free != count_avoiders(n, PatternSet.of(p1)):
+            three_one_ok = False
+        if n_free != count_avoiders(n, PatternSet.of(p2)):
+            n_ok = False
         if len(set(types)) != len(types):
             injective = False
     return [
@@ -313,12 +330,13 @@ _RUNNERS = {
 }
 SUITES = (*_RUNNERS, "all")
 # The suites that list matchings up to n_max refuse larger values.  omega
-# walks every matching: about 1.0 s at n_max 8 on a 2-core host, over half
-# of it in `contains`, and each further arc multiplies the walk by about
-# 7.  bijections builds every P2-avoider (Catalan-many) and every a/b
-# string (2^(n-1)-many): about 0.25 s at 8 and 1.2 s at 9.  The others
-# ignore n_max, which still has to lie in 1..MAX_ARCS.
-MAX_CHECK_WALK_ARCS = 8
+# walks every matching: about 0.5 s at n_max 8 and 2.9-3.5 s and 41 MiB at
+# 9 on a 2-core host, and each further arc multiplies the walk by about 7,
+# so n_max 10 would take over 20 s.  bijections builds every P2-avoider
+# (Catalan-many) and every a/b string (2^(n-1)-many): about 0.27 s at 8
+# and 0.9 s at 9.  `check --suite all --n-max 9` takes 3.6-6.2 s.  The
+# others ignore n_max, which still has to lie in 1..MAX_ARCS.
+MAX_CHECK_WALK_ARCS = 9
 WALKING_SUITES = ("omega", "bijections", "all")
 
 

@@ -150,14 +150,15 @@ def test_walking_commands_refuse_sizes_past_their_limit(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("suite", ["omega", "bijections", "all"])
-def test_walking_check_suites_refuse_n_max_past_8(capsys, monkeypatch, suite):
+def test_walking_check_suites_refuse_n_max_past_the_cap(capsys, monkeypatch, suite):
+    cap = verify.MAX_CHECK_WALK_ARCS
     _forbid_walks(monkeypatch)
     start = time.perf_counter()
-    code, out, err = run(capsys, "check", "--suite", suite, "--n-max", "9")
+    code, out, err = run(capsys, "check", "--suite", suite, "--n-max", str(cap + 1))
     assert time.perf_counter() - start < 0.5
     assert code == 2
     assert out == ""
-    assert f"--n-max must be at most 8 for check --suite {suite}" in err
+    assert f"--n-max must be at most {cap} for check --suite {suite}" in err
 
 
 def test_series_check_suites_ignore_n_max(capsys):
@@ -356,6 +357,19 @@ def test_table_csv_and_count_json_are_pinned(capsys):
             "poset_contains",
             lambda real: lambda p, name: not real(p, name),
             {"omega-images-2+2-free", "omega-P1-iff-3+1-free", "omega-P2-iff-N-free"},
+        ),
+        (
+            "omega",
+            "count_avoiders",
+            lambda real: lambda n, s: real(n, s) + 1,
+            {"omega-P1-iff-3+1-free", "omega-P2-iff-N-free"},
+        ),
+        # P3-avoiders are Catalan-many too, so only the check that omega(P1) has a 3+1 fails
+        (
+            "omega",
+            "registry",
+            lambda real: lambda: {**real(), "P1": real()["P3"]},
+            {"omega-P1-iff-3+1-free"},
         ),
     ],
 )

@@ -1,9 +1,11 @@
+import random
 from dataclasses import fields
 from functools import cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
+from stoimenow import patterns, verify
 from stoimenow import (
     UnknownForbiddenPoset,
     avoids_all,
@@ -16,6 +18,7 @@ from stoimenow import (
     parse_pattern_set,
     poset_contains,
     registry,
+    standardize,
 )
 from stoimenow.posets import Poset, poset_from_relations, poset_to_json
 from stoimenow.verify import omega_suite
@@ -72,6 +75,15 @@ def test_omega_suite_caps_injectivity_at_n_max():
     outcomes = omega_suite(7)
     assert [o.line() for o in outcomes][-1] == "omega-injective: PASS (n <= 7)"
     assert all(o.passed for o in outcomes)
+
+
+def test_omega_suite_tests_no_matching_for_a_pattern(monkeypatch):
+    def no_contains(m, p):
+        raise AssertionError(f"contains({m}, {p})")
+
+    monkeypatch.setattr(patterns, "contains", no_contains)
+    monkeypatch.setattr(verify, "contains", no_contains)
+    assert all(o.passed for o in omega_suite(6))
 
 
 def test_forbidden_poset_detection():
@@ -139,6 +151,49 @@ def test_omega_equivalences_small():
             assert not poset_contains(image, "2+2")
             assert contains(m, p1) == poset_contains(image, "3+1")
             assert contains(m, p2) == poset_contains(image, "N")
+
+
+def test_contains_agrees_with_the_omega_shapes_through_n_7():
+    # the per-matching comparison that omega_suite replaces by one count per n
+    p1, p2 = registry()["P1"], registry()["P2"]
+    total = 0
+    for n in range(8):
+        for m in enumerate_stoimenow(n):
+            image = omega(m)
+            total += 1
+            assert contains(m, p1) == poset_contains(image, "3+1"), m
+            assert contains(m, p2) == poset_contains(image, "N"), m
+    assert total == 1308
+
+
+def induced(p, keep):
+    return Poset(len(keep), tuple(tuple(p.less[i][j] for j in keep) for i in keep))
+
+
+def assert_restriction(m, keep):
+    sub = standardize(m.arcs[i] for i in keep).template
+    assert omega(sub) == induced(omega(m), keep), (m, keep)
+
+
+def test_omega_of_a_sub_matching_is_the_induced_subposet():
+    # the lemma behind omega_suite: an occurrence of a pattern P in m makes
+    # omega(m) induce omega(P) on the occurrence's arcs
+    for n in range(7):
+        for m in enumerate_stoimenow(n):
+            for k in range(n + 1):
+                for keep in combinations(range(n), k):
+                    assert_restriction(m, keep)
+    rng = random.Random(28)
+    for n in (7, 8):
+        for m in rng.sample(list(enumerate_stoimenow(n)), 40):
+            for _ in range(20):
+                assert_restriction(m, sorted(rng.sample(range(n), rng.randint(0, n))))
+
+
+def test_omega_of_each_catalan_pattern_induces_its_shape_or_none():
+    names = ("P1", "P2", "P3", "P4", "P5")
+    shapes = {name: omega(registry()[name].template).induced_shapes for name in names}
+    assert shapes == {"P1": {"3+1"}, "P2": {"N"}, "P3": set(), "P4": set(), "P5": set()}
 
 
 def test_omega_injective_small():
