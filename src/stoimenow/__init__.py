@@ -30,10 +30,13 @@ from .patterns import (
 from .enumeration import (
     CountTable,
     MAX_ARCS,
+    MAX_FISHBURN_ARCS,
+    avoider_counts,
     count_avoiders,
     count_stoimenow,
     count_table,
     enumerate_stoimenow,
+    fishburn_numbers,
     fishburn_oracle,
 )
 from .series import (

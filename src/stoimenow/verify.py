@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .bijections import _glue, glue, matching_to_string, split, string_to_matching
-from .enumeration import MAX_ARCS, count_avoiders, count_table, enumerate_stoimenow
+from .enumeration import MAX_ARCS, avoider_counts, count_table, enumerate_stoimenow
 from .identities import (
     check_case_sums,
     check_f_equals_catalan,
@@ -195,17 +195,18 @@ def bijection_suite(n_max: int = 6) -> list[CheckOutcome]:
     of smaller ones, and both round trips run on each image.  `split`
     refuses any image that is not a P2-avoider, and splitting returns each
     pair, so the images are distinct P2-avoiders; as they number
-    `count_avoiders(n, P2)`, glue is onto.  Every operand is `EMPTY` or an
+    |M_n(P2)|, glue is onto.  Every operand is `EMPTY` or an
     earlier image, which `split` has checked once already, so the round
     trips glue with the unchecking `_glue`; the worked example goes
     through `glue`.  Likewise `matching_to_string` refuses any string
     image that is not an R4-avoider and decodes each image to its own
     string, so the 2^(n-1) images are distinct, and they must number
-    `count_avoiders(n, R4)`.
+    |M_n(R4)|.  Each column |M_n(S)| for n = 0..n_max is read from one
+    `avoider_counts` call.
     """
     outcomes = []
 
-    p2 = parse_pattern_set("P2")
+    p2_counts = avoider_counts(n_max, parse_pattern_set("P2"))
     avoiders = [[EMPTY]]
     glue_ok = split_ok = True
     pairs = 0
@@ -220,7 +221,7 @@ def bijection_suite(n_max: int = 6) -> list[CheckOutcome]:
                 if _glue(*halves) != glued:
                     split_ok = False
                 images.append(glued)
-        if len(images) != count_avoiders(n, p2):
+        if len(images) != p2_counts[n]:
             glue_ok = False
         avoiders.append(images)
         pairs += len(images)
@@ -248,11 +249,11 @@ def bijection_suite(n_max: int = 6) -> list[CheckOutcome]:
     )
     outcomes.append(CheckOutcome("string-worked-examples", strings_ok))
 
-    r4 = parse_pattern_set("R4")
+    r4_counts = avoider_counts(n_max, parse_pattern_set("R4"))
     bijection_ok = True
     for n in range(1, n_max + 1):
         words = ["".join(w) for w in product("ab", repeat=n - 1)]
-        if len(words) != count_avoiders(n, r4):
+        if len(words) != r4_counts[n]:
             bijection_ok = False
         if any(matching_to_string(string_to_matching(w)) != w for w in words):
             bijection_ok = False
@@ -275,8 +276,9 @@ def omega_suite(n_max: int = 6) -> list[CheckOutcome]:
     checks once that `omega(P1)` contains a 3+1 and `omega(P2)` an N;
     then every matching with a 3+1-free image avoids P1, and every one
     with an N-free image avoids P2.  Per n it counts those images and
-    compares each count with `count_avoiders`: a subset as large as the
-    set is the set, so no matching is tested with `contains`.
+    compares each count with |M_n(P1)| or |M_n(P2)|, read from one
+    `avoider_counts` column per pattern: a subset as large as the set is
+    the set, so no matching is tested with `contains`.
 
     One pass over M_n per n computes each `omega(m)` once, and the three
     `poset_contains` calls on it read one `induced_shapes` set, so each
@@ -291,6 +293,8 @@ def omega_suite(n_max: int = 6) -> list[CheckOutcome]:
     free_ok = True
     three_one_ok = poset_contains(omega(p1.template), "3+1")
     n_ok = poset_contains(omega(p2.template), "N")
+    p1_counts = avoider_counts(n_max, PatternSet.of(p1))
+    p2_counts = avoider_counts(n_max, PatternSet.of(p2))
     injective = True
     total = 0
     for n in range(n_max + 1):
@@ -304,9 +308,9 @@ def omega_suite(n_max: int = 6) -> list[CheckOutcome]:
             three_one_free += not poset_contains(pos, "3+1")
             n_free += not poset_contains(pos, "N")
             types.append(interval_type(pos))
-        if three_one_free != count_avoiders(n, PatternSet.of(p1)):
+        if three_one_free != p1_counts[n]:
             three_one_ok = False
-        if n_free != count_avoiders(n, PatternSet.of(p2)):
+        if n_free != p2_counts[n]:
             n_ok = False
         if len(set(types)) != len(types):
             injective = False

@@ -100,6 +100,24 @@ def test_pattern_free_count_reaches_the_size_cap(capsys):
     assert out.splitlines()[-1] == ",14,796713190"
 
 
+def test_pattern_free_count_reaches_the_series_cap(capsys):
+    # F(64), from the ascent-sequence DP (`fishburn_oracle(64)`)
+    f64 = "39921188510110481663222349863704777328113003001966505846965727427322450165110"
+    cap = enumeration.MAX_FISHBURN_ARCS
+    assert cap == cli.MAX_ORDER == 64
+    code, out, _ = run(capsys, "count", "--n", str(cap))
+    assert code == 0
+    assert out == f64 + "\n"
+    code, out, _ = run(capsys, "count", "--n", str(cap), "--format", "json")
+    assert json.loads(out) == {"patterns": "", "n": cap, "count": int(f64)}
+    code, out, _ = run(capsys, "count", "--n-max", str(cap))
+    assert code == 0
+    column = enumeration.fishburn_numbers(cap)
+    assert out.splitlines() == ["patterns,n,count", *(f",{n},{column[n]}" for n in range(1, cap + 1))]
+    for n in range(cap + 1):
+        assert run(capsys, "count", "--n", str(n))[1] == f"{column[n]}\n", n
+
+
 def test_pattern_free_count_workers_byte_identical(capsys):
     _, one, _ = run(capsys, "count", "--n-max", "9", "--workers", "1")
     _, two, _ = run(capsys, "count", "--n-max", "9", "--workers", "2")
@@ -136,8 +154,8 @@ def test_walking_commands_refuse_sizes_past_their_limit(capsys, monkeypatch):
     for argv in (
         ["gen", "--n", "-1"],
         ["gen", "--n", "15"],
-        ["count", "--n", "15"],
-        ["count", "--n-max", "15"],
+        ["count", "--n", str(enumeration.MAX_FISHBURN_ARCS + 1)],
+        ["count", "--n-max", str(enumeration.MAX_FISHBURN_ARCS + 1)],
         ["count", "--n-max", "0"],
         ["table", "--n-max", "0"],
     ):
@@ -348,8 +366,8 @@ def test_table_csv_and_count_json_are_pinned(capsys):
         ("omega", "interval_type", lambda real: lambda p: 0, {"omega-injective"}),
         (
             "bijections",
-            "count_avoiders",
-            lambda real: lambda n, s: real(n, s) + 1,
+            "avoider_counts",
+            lambda real: lambda n, s: [count + 1 for count in real(n, s)],
             {"glue-then-split", "string-bijection"},
         ),
         (
@@ -360,8 +378,8 @@ def test_table_csv_and_count_json_are_pinned(capsys):
         ),
         (
             "omega",
-            "count_avoiders",
-            lambda real: lambda n, s: real(n, s) + 1,
+            "avoider_counts",
+            lambda real: lambda n, s: [count + 1 for count in real(n, s)],
             {"omega-P1-iff-3+1-free", "omega-P2-iff-N-free"},
         ),
         # P3-avoiders are Catalan-many too, so only the check that omega(P1) has a 3+1 fails
@@ -541,6 +559,7 @@ def test_readme_limits_quote_every_cap():
     notes = readme[readme.index("* Size limits."):]
     for module, name in (
         (enumeration, "MAX_ARCS"),
+        (enumeration, "MAX_FISHBURN_ARCS"),
         (enumeration, "MAX_HELD_OCCURRENCES"),
         (enumeration, "MAX_WALK_ARCS"),
         (verify, "MAX_CHECK_WALK_ARCS"),

@@ -25,13 +25,23 @@ from stoimenow import (
     registry,
 )
 from stoimenow import enumeration
-from stoimenow.enumeration import MAX_ARCS, MAX_WALK_ARCS, _counts, _tally
+from stoimenow.enumeration import (
+    MAX_ARCS,
+    MAX_FISHBURN_ARCS,
+    MAX_WALK_ARCS,
+    _counts,
+    _tally,
+    avoider_counts,
+    fishburn_numbers,
+)
 
 from util import all_matchings, naive_contains, recursive_completions
 
 # A022493 prefix, used as frozen cross-check data next to the two
 # independent computations (pruned generation and ascent sequences).
 FISHBURN = [1, 1, 2, 5, 15, 53, 217, 1014, 5335, 31240, 201608]
+# F(64), from the ascent-sequence DP (`fishburn_oracle(64)`).
+F64 = 39921188510110481663222349863704777328113003001966505846965727427322450165110
 
 
 def test_small_listings():
@@ -57,6 +67,30 @@ def test_generator_counter_and_oracle_agree():
 def test_counter_matches_oracle_to_the_size_cap():
     assert [count_stoimenow(n) for n in range(15)] == [fishburn_oracle(n) for n in range(15)]
     assert count_stoimenow(14) == 796713190
+
+
+def test_zagier_series_matches_ascent_sequences():
+    column = fishburn_numbers(MAX_FISHBURN_ARCS)
+    assert len(column) == MAX_FISHBURN_ARCS + 1
+    for n in [*range(31), 37, 44, 51, 58, 64]:
+        assert column[n] == fishburn_oracle(n), n
+    assert column[64] == F64
+    for n in range(MAX_FISHBURN_ARCS + 1):
+        assert fishburn_numbers(n) == column[: n + 1], n
+
+
+def test_zagier_series_matches_the_counter_to_its_cap():
+    # the counter's pattern-free mode is the patterned code with no occurrence
+    for n in range(MAX_ARCS + 1):
+        assert fishburn_numbers(n) == _counts(n, ()), n
+
+
+def test_avoider_counts_is_the_column_that_count_avoiders_slices():
+    for name in ("", "P1", "P2", "R4", "P1,P3"):
+        ps = parse_pattern_set(name)
+        column = avoider_counts(9, ps)
+        assert len(column) == 10
+        assert column == [count_avoiders(n, ps) for n in range(10)], name
 
 
 def _pairs(matchings):
@@ -114,7 +148,7 @@ def test_size_guard(monkeypatch):
     with pytest.raises(ValueError):
         list(enumerate_stoimenow(15))
     with pytest.raises(ValueError):
-        count_stoimenow(15)
+        count_stoimenow(MAX_FISHBURN_ARCS + 1)
     with pytest.raises(ValueError):
         enumerate_stoimenow(-1)
     p1 = parse_pattern_set("P1")
@@ -126,18 +160,17 @@ def test_size_guard(monkeypatch):
             lambda: count_avoiders(MAX_ARCS + 1, p1),
             lambda: count_avoiders(-1, p1),
             lambda: count_table([p1], MAX_WALK_ARCS + 1),
-            lambda: count_avoiders(MAX_ARCS + 1, PatternSet.of()),
-            lambda: count_table([PatternSet.of()], MAX_ARCS + 1),
+            lambda: count_avoiders(MAX_FISHBURN_ARCS + 1, PatternSet.of()),
+            lambda: count_table([PatternSet.of()], MAX_FISHBURN_ARCS + 1),
         ):
             start = time.perf_counter()
             with pytest.raises(ValueError):
                 refuse()
             assert time.perf_counter() - start < 0.5
-    # Pattern-free counts are not walked, so they keep the counter's cap.
-    assert count_avoiders(MAX_ARCS, PatternSet.of()) == fishburn_oracle(MAX_ARCS)
-    assert count_table([PatternSet.of()], MAX_ARCS).rows[0][1] == tuple(
-        fishburn_oracle(n) for n in range(1, MAX_ARCS + 1)
-    )
+    # Pattern-free counts are not walked; they read Zagier's series up to its cap.
+    top = count_table([PatternSet.of()], MAX_FISHBURN_ARCS).rows[0][1]
+    assert top[:MAX_ARCS] == tuple(fishburn_oracle(n) for n in range(1, MAX_ARCS + 1))
+    assert count_avoiders(MAX_FISHBURN_ARCS, PatternSet.of()) == top[-1] == F64
 
 
 def test_avoidance_counter_refuses_a_layer_past_the_occurrence_budget(monkeypatch):
